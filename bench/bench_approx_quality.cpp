@@ -3,7 +3,8 @@
 // exact-BC building blocks — but the standard large-graph practice both
 // CombBLAS and MFBC target is pivot approximation [4], and this quantifies
 // the cost/quality frontier the batch machinery offers: K pivots cost K/n
-// of the exact sweep.
+// of the exact sweep. Both tables run the (eps,delta) sampler on a 4-rank
+// DistMfbc; the fixed-K rows set eps = 0 and a K-sample budget.
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -14,7 +15,6 @@
 #include "graph/generators.hpp"
 #include "graph/prep.hpp"
 #include "mfbc/adaptive.hpp"
-#include "mfbc/approx.hpp"
 #include "mfbc/mfbc_dist.hpp"
 #include "mfbc/ranking.hpp"
 #include "support/strutil.hpp"
@@ -49,18 +49,39 @@ int main(int argc, char** argv) {
            std::sqrt((n * sxx - sx * sx) * (n * syy - sy * sy));
   };
 
+  auto sampled = [&](core::AdaptiveSamplerOptions aopts) {
+    aopts.seed = 2027;
+    aopts.batch_size = 64;
+    sim::Sim sim(4, sim::MachineModel::blue_waters());
+    core::DistMfbc engine(sim, g);
+    return core::run_adaptive_bc(
+        g.n(), aopts,
+        [&](const std::vector<graph::vid_t>& srcs,
+            const core::BatchRunOptions::BatchObserver& ob, bool resume) {
+          core::DistMfbcOptions opts;
+          opts.batch_size = aopts.batch_size;
+          opts.sources = srcs;
+          opts.on_batch = ob;
+          opts.resume = resume;
+          return engine.run(opts);
+        });
+  };
+
   bench::Table tab({"pivots", "work vs exact", "top-10 overlap",
                     "top-50 overlap", "correlation"});
   for (graph::vid_t k : {16, 32, 64, 128, 256, 512}) {
     if (k > g.n()) break;
-    const auto approx = core::approx_bc(g, k, /*seed=*/2027, /*batch_size=*/64);
+    core::AdaptiveSamplerOptions fixed_k;
+    fixed_k.eps = 0;  // never converges early: exactly k samples
+    fixed_k.max_samples = k;
+    const std::vector<double> bc = sampled(fixed_k).lambda;
     tab.add_row({std::to_string(k),
                  fixed(100.0 * static_cast<double>(k) /
                            static_cast<double>(g.n()),
                        1) + "%",
-                 fixed(100.0 * core::top_k_overlap(approx.bc, exact, 10), 0) + "%",
-                 fixed(100.0 * core::top_k_overlap(approx.bc, exact, 50), 0) + "%",
-                 fixed(pearson(approx.bc, exact), 4)});
+                 fixed(100.0 * core::top_k_overlap(bc, exact, 10), 0) + "%",
+                 fixed(100.0 * core::top_k_overlap(bc, exact, 50), 0) + "%",
+                 fixed(pearson(bc, exact), 4)});
   }
   std::fputs(tab.render("Pivot-sampling quality on an R-MAT graph (n=" +
                         std::to_string(g.n()) + ")")
@@ -76,24 +97,10 @@ int main(int argc, char** argv) {
   bench::Table atab({"eps", "delta", "samples", "work vs exact", "stop",
                      "top-10 overlap", "correlation"});
   for (double eps : {0.4, 0.3, 0.2, 0.1}) {
-    sim::Sim sim(4, sim::MachineModel::blue_waters());
-    core::DistMfbc engine(sim, g);
     core::AdaptiveSamplerOptions aopts;
     aopts.eps = eps;
     aopts.delta = 0.2;
-    aopts.seed = 2027;
-    aopts.batch_size = 64;
-    const core::AdaptiveSampleResult r = core::run_adaptive_bc(
-        g.n(), aopts,
-        [&](const std::vector<graph::vid_t>& srcs,
-            const core::BatchRunOptions::BatchObserver& ob, bool resume) {
-          core::DistMfbcOptions opts;
-          opts.batch_size = 64;
-          opts.sources = srcs;
-          opts.on_batch = ob;
-          opts.resume = resume;
-          return engine.run(opts);
-        });
+    const core::AdaptiveSampleResult r = sampled(aopts);
     atab.add_row(
         {fixed(eps, 2), fixed(aopts.delta, 2), std::to_string(r.samples_used),
          fixed(100.0 * static_cast<double>(r.samples_used) /

@@ -1,8 +1,8 @@
 // Microbenchmarks of the sequential kernels (google-benchmark): generalized
 // SpGEMM over every monoid the library uses, elementwise ops, structural
-// ops, and format conversion. These calibrate the simulator's
-// seconds_per_op constant (see sim::tune_machine) and document the
-// single-rank performance baseline the distributed results build on.
+// ops, and format conversion. They document the single-rank performance
+// baseline the distributed results build on; the host flop rate the planning
+// model uses is measured by `mfbc --calibrate` (tune::calibrate).
 #include <benchmark/benchmark.h>
 
 #include "algebra/centpath.hpp"

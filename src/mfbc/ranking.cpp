@@ -1,6 +1,8 @@
 #include "mfbc/ranking.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "support/error.hpp"
 
@@ -11,6 +13,13 @@ std::vector<RankedVertex> top_k(const std::vector<double>& scores,
   k = std::min(k, scores.size());
   std::vector<RankedVertex> all(scores.size());
   for (std::size_t i = 0; i < scores.size(); ++i) {
+    // A NaN breaks the strict weak order the sort needs, and an overflowed
+    // ±inf outranks every real score: neither may be ranked beside them.
+    if (!std::isfinite(scores[i])) {
+      throw Error("non-finite score " + std::to_string(scores[i]) +
+                  " at vertex v" + std::to_string(i) +
+                  "; refusing to rank");
+    }
     all[i] = {i, scores[i]};
   }
   std::partial_sort(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(k),

@@ -14,7 +14,8 @@ struct RankedVertex {
 };
 
 /// The k highest-scoring vertices, in descending score order (ties broken
-/// by vertex id for determinism). k is clamped to the score count.
+/// by vertex id for determinism). k is clamped to the score count. Throws
+/// mfbc::Error naming the first vertex whose score is NaN or ±inf.
 std::vector<RankedVertex> top_k(const std::vector<double>& scores,
                                 std::size_t k);
 

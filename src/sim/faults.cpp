@@ -6,6 +6,7 @@
 
 #include "sim/machine.hpp"
 #include "support/rng.hpp"
+#include "support/strutil.hpp"
 #include "telemetry/registry.hpp"
 
 namespace mfbc::sim {
@@ -66,8 +67,13 @@ bool FaultSpec::any_corruption() const {
 
 namespace {
 
+/// The context every spec error is named by: "bad --faults item 'x'".
+std::string spec_item(const std::string& item) {
+  return "bad --faults item '" + item + "'";
+}
+
 [[noreturn]] void bad_spec(const std::string& item, const char* why) {
-  throw ::mfbc::Error("bad --faults item '" + item + "': " + why);
+  throw ::mfbc::Error(spec_item(item) + ": " + why);
 }
 
 double parse_rate(const std::string& item, const std::string& text) {
@@ -76,23 +82,6 @@ double parse_rate(const std::string& item, const std::string& text) {
   if (end == text.c_str() || *end != '\0') bad_spec(item, "expected a number");
   if (!(r >= 0.0 && r <= 1.0)) bad_spec(item, "rate must be in [0, 1]");
   return r;
-}
-
-std::int64_t parse_int(const std::string& item, const std::string& text) {
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') bad_spec(item, "expected an integer");
-  if (v < 0) bad_spec(item, "value must be non-negative");
-  return v;
-}
-
-/// Full-range uint64 (strtoll would saturate seeds above INT64_MAX).
-std::uint64_t parse_u64(const std::string& item, const std::string& text) {
-  if (!text.empty() && text[0] == '-') bad_spec(item, "value must be non-negative");
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') bad_spec(item, "expected an integer");
-  return v;
 }
 
 FaultKind kind_of(const std::string& name) {
@@ -130,10 +119,10 @@ FaultSpec FaultSpec::parse(const std::string& text, std::uint64_t seed) {
       if (vcolon != std::string::npos) {
         if (s.kind != FaultKind::kRankFailure)
           bad_spec(item, "only rank@I:V takes a victim");
-        s.victim = static_cast<int>(parse_int(item, rest.substr(vcolon + 1)));
+        s.victim = parse_int<int>(rest.substr(vcolon + 1), spec_item(item));
         rest = rest.substr(0, vcolon);
       }
-      s.charge_index = parse_u64(item, rest);
+      s.charge_index = parse_u64(rest, spec_item(item));
       spec.scheduled.push_back(s);
       continue;
     }
@@ -141,15 +130,15 @@ FaultSpec FaultSpec::parse(const std::string& text, std::uint64_t seed) {
     const std::string name = item.substr(0, colon);
     const std::string value = item.substr(colon + 1);
     if (name == "retries") {
-      spec.max_retries = static_cast<int>(parse_int(item, value));
+      spec.max_retries = parse_int<int>(value, spec_item(item));
     } else if (name == "batch-retries") {
-      spec.max_batch_retries = static_cast<int>(parse_int(item, value));
+      spec.max_batch_retries = parse_int<int>(value, spec_item(item));
     } else if (name == "spares") {
-      spec.spares = static_cast<int>(parse_int(item, value));
+      spec.spares = parse_int<int>(value, spec_item(item));
     } else if (name == "shrinks") {
-      spec.max_shrinks = static_cast<int>(parse_int(item, value));
+      spec.max_shrinks = parse_int<int>(value, spec_item(item));
     } else if (name == "seed") {
-      spec.seed = parse_u64(item, value);
+      spec.seed = parse_u64(value, spec_item(item));
     } else if (kind_of(name) == FaultKind::kTransient) {
       spec.transient_rate = parse_rate(item, value);
     } else if (kind_of(name) == FaultKind::kCorruption) {

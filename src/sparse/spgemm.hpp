@@ -1,6 +1,8 @@
 // Generalized sparse matrix–matrix multiplication  C = A •⟨⊕,f⟩ B
 // (paper §3): output element C(i,j) = ⊕_k f(A(i,k), B(k,j)) over a
 // commutative monoid (D_C, ⊕) and bridge function f : D_A × D_B → D_C.
+// The paper's §6.1 CTF kernel Z["ij"] = f(A["ik"], B["kj"]) is
+// spgemm<Monoid>(A, B, f).
 //
 // The kernel is Gustavson's row-wise algorithm with a sparse accumulator:
 // optimal O(ops(A,B)) work, which is what the paper's cost model assumes for

@@ -263,6 +263,12 @@ TEST(AdaptiveGuarantee, SampleCapIsNotCertified) {
   EXPECT_EQ(r.batches, 2);
   EXPECT_EQ(r.full_batches, 1u);  // the partial tail stays out of Bernstein
   EXPECT_GT(r.max_ci_width, aopts.eps);
+  // A fixed budget is the plain K-pivot estimator; its n/K scale keeps the
+  // total mass unbiased, so the sum lands near the exact total.
+  double exact_total = 0, sampled_total = 0;
+  for (double x : baseline::brandes(g)) exact_total += x;
+  for (double x : r.lambda) sampled_total += x;
+  EXPECT_NEAR(sampled_total, exact_total, 0.35 * exact_total);
 }
 
 // ---------------------------------------------------------------------------
@@ -275,10 +281,12 @@ TEST(AdaptiveExactness, EpsZeroIsBitEqualToExactRun) {
   aopts.delta = 0.1;
   aopts.seed = 8;
   aopts.batch_size = kBatch;
+  aopts.max_samples = 10 * g.n();  // a budget past n clamps to n
   const AdaptiveSampleResult r = sampled_mfbc(g, aopts);
   EXPECT_EQ(r.stop_reason, AdaptiveStop::kExhausted);
   EXPECT_TRUE(r.guarantee_met);
   EXPECT_EQ(r.samples_used, g.n());
+  EXPECT_EQ(r.sources.size(), static_cast<std::size_t>(g.n()));
   EXPECT_EQ(r.max_ci_width, 0.0);
 
   // The exact reference: run_batched_bc (through the engine) over the same

@@ -3,11 +3,22 @@
 // ops, and the cost charges that accompany the data movement.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "algebra/tropical.hpp"
 #include "dist/dmatrix.hpp"
 #include "support/rng.hpp"
 
 namespace mfbc::dist {
+
+// Parameter names for the discovered ctest ids. Without this, gtest prints a
+// Layout's raw bytes, padding included, so the ids changed between builds.
+void PrintTo(const Layout& l, std::ostream* os) {
+  *os << "r" << l.rank0 << "_" << l.pr << "x" << l.pc << "_rows"
+      << l.rows.lo << "-" << l.rows.hi << "_cols" << l.cols.lo << "-"
+      << l.cols.hi << (l.transposed ? "_T" : "");
+}
+
 namespace {
 
 using algebra::SumMonoid;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <tuple>
 
 #include "baseline/brandes.hpp"
@@ -28,6 +29,10 @@ struct GraphCase {
   bool weighted;
   std::uint64_t seed;
 };
+
+// Without this gtest prints the raw bytes of the case, pointer and padding
+// included, so the discovered test names changed from build to build.
+void PrintTo(const GraphCase& c, std::ostream* os) { *os << c.name; }
 
 Graph make_case_graph(const GraphCase& c, vid_t n, nnz_t m) {
   graph::WeightSpec ws{c.weighted, 1, 10};

@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "mfbc/ranking.hpp"
 #include "support/error.hpp"
@@ -69,6 +73,24 @@ TEST(TopK, RepeatedCallsAreByteIdentical) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].vertex, b[i].vertex);
     EXPECT_EQ(std::memcmp(&a[i].score, &b[i].score, sizeof(double)), 0);
+  }
+}
+
+// Overflowed path counts turn λ into NaN or ±inf; ranking them would print a
+// NaN beside real scores, so top_k names the first bad vertex instead.
+TEST(TopK, RejectsNonFiniteScores) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [scores, first_bad] :
+       {std::pair{std::vector<double>{1.0, nan, 3.0, inf}, "vertex v1;"},
+        std::pair{std::vector<double>{1.0, 2.0, inf, nan}, "vertex v2;"}}) {
+    try {
+      top_k(scores, 1);
+      ADD_FAILURE() << "no error for " << first_bad;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(first_bad), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -1,7 +1,12 @@
 // Tests for src/support: error macros, deterministic RNG, string helpers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -86,6 +91,36 @@ TEST(Strutil, HumanCount) {
 }
 
 TEST(Strutil, Fixed) { EXPECT_EQ(fixed(3.14159, 2), "3.14"); }
+
+TEST(Strutil, SplitKeepsEmptyFields) {
+  EXPECT_EQ(split("0.3,,7", ','), (std::vector<std::string>{"0.3", "", "7"}));
+}
+
+TEST(Strutil, StrictParsersNameTheFlagAndTheReason) {
+  const auto error_of = [](auto parse) -> std::string {
+    try {
+      parse();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(parse_int("16", "--ranks"), 16);
+  EXPECT_EQ(parse_u64("18446744073709551615", "--seed"), UINT64_MAX);
+  EXPECT_EQ(parse_double("-0.25", "--eps"), -0.25);
+  const std::vector<std::pair<std::string, std::function<void()>>> bad = {
+      {"--ranks: expected an integer", [] { parse_int("abc", "--ranks"); }},
+      {"--approx: expected an integer", [] { parse_int("2.5", "--approx"); }},
+      {"--top: value must be non-negative", [] { parse_int("-1", "--top"); }},
+      {"--top: value must be at most 7", [] { parse_int("8", "--top", 7); }},
+      {"--seed: value must be non-negative", [] { parse_u64("-1", "--seed"); }},
+      {"--seed: value must fit in 64 bits",
+       [] { parse_u64("18446744073709551616", "--seed"); }},
+      {"--eps: expected a number", [] { parse_double("", "--eps"); }},
+      {"--eps: expected a finite number", [] { parse_double("nan", "--eps"); }},
+  };
+  for (const auto& [message, parse] : bad) EXPECT_EQ(error_of(parse), message);
+}
 
 }  // namespace
 }  // namespace mfbc

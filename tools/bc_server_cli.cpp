@@ -20,8 +20,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +30,7 @@
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "support/strutil.hpp"
 #include "telemetry/export.hpp"
 
 namespace {
@@ -111,28 +110,34 @@ Args parse(int argc, char** argv) {
     else if (f == "--rmat") a.rmat = need(i);
     else if (f == "--directed") a.directed = true;
     else if (f == "--weighted") a.weighted = true;
-    else if (f == "--ranks") a.ranks = std::atoi(need(i));
-    else if (f == "--batch") a.batch = std::atol(need(i));
-    else if (f == "--threads") a.threads = std::atoi(need(i));
-    else if (f == "--sources") a.sources = std::atol(need(i));
-    else if (f == "--query-threads") a.query_threads = std::atoi(need(i));
-    else if (f == "--queries") a.queries = std::atoi(need(i));
-    else if (f == "--topk") a.topk = std::atoi(need(i));
-    else if (f == "--mutations") a.mutations = std::atoi(need(i));
-    else if (f == "--mutation-adds") a.mutation_adds = std::atoi(need(i));
+    else if (f == "--ranks") a.ranks = parse_int<int>(need(i), f);
+    else if (f == "--batch") a.batch = parse_int(need(i), f);
+    else if (f == "--threads") a.threads = parse_int<int>(need(i), f);
+    else if (f == "--sources") a.sources = parse_int(need(i), f);
+    else if (f == "--query-threads")
+      a.query_threads = parse_int<int>(need(i), f);
+    else if (f == "--queries") a.queries = parse_int<int>(need(i), f);
+    else if (f == "--topk") a.topk = parse_int<int>(need(i), f);
+    else if (f == "--mutations") a.mutations = parse_int<int>(need(i), f);
+    else if (f == "--mutation-adds")
+      a.mutation_adds = parse_int<int>(need(i), f);
     else if (f == "--mutation-removes")
-      a.mutation_removes = std::atoi(need(i));
+      a.mutation_removes = parse_int<int>(need(i), f);
     else if (f == "--mode") a.mode = need(i);
-    else if (f == "--full-threshold") a.full_threshold = std::atof(need(i));
+    else if (f == "--full-threshold")
+      a.full_threshold = parse_double(need(i), f);
     else if (f == "--approx") {
+      const std::vector<std::string> parts = split(need(i), ',');
+      MFBC_CHECK(parts.size() == 2 || parts.size() == 3,
+                 "--approx expects eps,delta[,seed]");
       a.approx = true;
-      unsigned long long s = 1;
-      const int got = std::sscanf(need(i), "%lf,%lf,%llu", &a.approx_eps,
-                                  &a.approx_delta, &s);
-      if (got < 2) throw Error("--approx expects eps,delta[,seed]");
-      a.approx_seed = s;
+      a.approx_eps = parse_double(parts[0], "--approx eps");
+      a.approx_delta = parse_double(parts[1], "--approx delta");
+      if (parts.size() == 3) {
+        a.approx_seed = parse_u64(parts[2], "--approx seed");
+      }
     }
-    else if (f == "--seed") a.seed = std::strtoull(need(i), nullptr, 10);
+    else if (f == "--seed") a.seed = parse_u64(need(i), f);
     else if (f == "--json") a.json_file = need(i);
     else if (f == "--help" || f == "-h") a.help = true;
     else throw Error("unknown flag: " + f);
@@ -144,18 +149,18 @@ graph::Graph load_graph(const Args& a) {
   graph::WeightSpec ws;
   ws.weighted = a.weighted;
   if (!a.er.empty()) {
-    const auto comma = a.er.find(',');
-    MFBC_CHECK(comma != std::string::npos, "--er expects N,M");
-    const graph::vid_t n = std::atol(a.er.substr(0, comma).c_str());
-    const graph::nnz_t m = std::atol(a.er.substr(comma + 1).c_str());
-    return graph::erdos_renyi(n, m, a.directed, ws, a.seed);
+    const std::vector<std::string> nm = split(a.er, ',');
+    MFBC_CHECK(nm.size() == 2, "--er expects N,M");
+    return graph::erdos_renyi(parse_int(nm[0], "--er N"),
+                              parse_int(nm[1], "--er M"), a.directed, ws,
+                              a.seed);
   }
   if (!a.rmat.empty()) {
-    const auto comma = a.rmat.find(',');
-    MFBC_CHECK(comma != std::string::npos, "--rmat expects S,E");
+    const std::vector<std::string> se = split(a.rmat, ',');
+    MFBC_CHECK(se.size() == 2, "--rmat expects S,E");
     graph::RmatParams params;
-    params.scale = std::atoi(a.rmat.substr(0, comma).c_str());
-    params.edge_factor = std::atof(a.rmat.substr(comma + 1).c_str());
+    params.scale = parse_int<int>(se[0], "--rmat S");
+    params.edge_factor = parse_double(se[1], "--rmat E");
     params.directed = a.directed;
     params.weights = ws;
     return graph::rmat(params, a.seed);

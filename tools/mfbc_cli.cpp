@@ -1,10 +1,10 @@
 // mfbc — command-line driver for the library.
 //
-// Computes betweenness centrality (exact or pivot-approximate), harmonic
-// closeness, or connected components for a graph read from an edge-list /
-// MatrixMarket file or produced by the built-in generators, optionally on
-// the simulated distributed machine (printing the critical-path
-// communication costs).
+// Computes betweenness centrality (exact, over a source prefix, or
+// (ε,δ)-sampled), harmonic closeness, or connected components for a graph
+// read from an edge-list / MatrixMarket file or produced by the built-in
+// generators, optionally on the simulated distributed machine (printing the
+// critical-path communication costs).
 //
 // Examples:
 //   mfbc --er 1000,4000 --top 5
@@ -16,8 +16,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -44,7 +42,6 @@
 #include "mfbc/ranking.hpp"
 #include "sim/faults.hpp"
 #include "sim/machine.hpp"
-#include "sim/tuner.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/strutil.hpp"
@@ -71,11 +68,9 @@ struct Args {
   graph::vid_t sink = -1;
   std::string algo = "mfbc";  // mfbc | brandes | combblas
   graph::vid_t batch = 128;
-  graph::vid_t approx = 0;  // 0 = exact (all sources)
+  graph::vid_t approx = 0;  // K > 0: sources 0..K-1 only; 0 = all sources
   bool adaptive = false;    // --approx eps,delta[,seed] (ε,δ)-sampling
-  double approx_eps = 0.05;
-  double approx_delta = 0.1;
-  std::uint64_t approx_seed = 1;
+  core::AdaptiveSamplerOptions sampler;  // its eps, delta and seed
   int ranks = 0;            // 0 = sequential
   int threads = 0;          // 0 = MFBC_THREADS / hardware default
   std::string mode = "auto";  // auto | ca
@@ -86,8 +81,6 @@ struct Args {
   int c = 1;
   int top = 10;
   std::uint64_t seed = 1;
-  std::string model_file;  // tuned machine model for simulated runs
-  std::string tune_file;   // run the model tuner, save here, exit
   std::string tune_profile;    // adaptive plan tuner profile (load + save)
   std::string calibrate_file;  // run tune::calibrate, save here, exit
   bool explain_plan = false;   // print the candidate-plan table, don't run
@@ -117,7 +110,8 @@ void usage() {
       "                      pagerank | maxflow (with --source/--sink)\n"
       "  --algo A            bc engine: mfbc (default) | brandes | combblas\n"
       "  --batch NB          source batch size (default 128)\n"
-      "  --approx K          use K pivot sources instead of all n\n"
+      "  --approx K          run only sources 0..K-1 (the first K vertex\n"
+      "                      ids) and print their unscaled partial sums\n"
       "  --approx E,D[,S]    adaptive (eps,delta)-sampled BC on the batch\n"
       "                      driver (docs/approximation.md): seeded source\n"
       "                      sampling with per-vertex confidence intervals,\n"
@@ -154,8 +148,6 @@ void usage() {
       "                      is bit-identical across all three; only the\n"
       "                      per-rank load balance and charged cost differ\n"
       "machine model (simulated runs):\n"
-      "  --model FILE        load a tuned machine model (see --tune)\n"
-      "  --tune FILE         run the section 6.2 model tuner, save to FILE\n"
       "  --machine-profile S heterogeneous per-rank profiles as a comma list\n"
       "                      of COUNTxCLASS (cpu | accel | spare), e.g.\n"
       "                      '4xaccel,60xcpu'; trailing ranks default to cpu.\n"
@@ -213,47 +205,50 @@ Args parse(int argc, char** argv) {
     else if (f == "--one-indexed") a.one_indexed = true;
     else if (f == "--giant") a.giant = true;
     else if (f == "--metric") a.metric = need(i);
-    else if (f == "--source") a.source = std::atol(need(i));
-    else if (f == "--sink") a.sink = std::atol(need(i));
+    else if (f == "--source") a.source = parse_int(need(i), f);
+    else if (f == "--sink") a.sink = parse_int(need(i), f);
     else if (f == "--algo") a.algo = need(i);
-    else if (f == "--batch") a.batch = std::atol(need(i));
+    else if (f == "--batch") a.batch = parse_int(need(i), f);
     else if (f == "--approx") {
-      // Dual form: a plain integer keeps the legacy pivot-count estimator;
+      // Dual form: a plain integer K restricts the run to sources 0..K-1;
       // a comma means the adaptive (ε,δ) sampler.
       const std::string v = need(i);
       if (v.find(',') != std::string::npos) {
+        const std::vector<std::string> parts = split(v, ',');
+        MFBC_CHECK(parts.size() <= 3, "--approx expects K or eps,delta[,seed]");
         a.adaptive = true;
-        unsigned long long s = 1;
-        const int got = std::sscanf(v.c_str(), "%lf,%lf,%llu",
-                                    &a.approx_eps, &a.approx_delta, &s);
-        if (got < 2) throw Error("--approx expects K or eps,delta[,seed]");
-        a.approx_seed = s;
+        a.sampler.eps = parse_double(parts[0], "--approx eps");
+        a.sampler.delta = parse_double(parts[1], "--approx delta");
+        if (parts.size() == 3) {
+          a.sampler.seed = parse_u64(parts[2], "--approx seed");
+        }
       } else {
-        a.approx = std::atol(v.c_str());
+        a.approx = parse_int(v, f);
       }
     }
-    else if (f == "--ranks") a.ranks = std::atoi(need(i));
-    else if (f == "--threads") a.threads = std::atoi(need(i));
+    else if (f == "--ranks") a.ranks = parse_int<int>(need(i), f);
+    else if (f == "--threads") a.threads = parse_int<int>(need(i), f);
     else if (f == "--mode") a.mode = need(i);
     else if (f == "--schedule") a.schedule = need(i);
     else if (f == "--partition") a.partition = need(i);
     else if (f == "--machine-profile") a.machine_profile = need(i);
-    else if (f == "--overlap-beta") a.overlap_beta = std::atof(need(i));
-    else if (f == "--c") a.c = std::atoi(need(i));
-    else if (f == "--top") a.top = std::atoi(need(i));
-    else if (f == "--model") a.model_file = need(i);
-    else if (f == "--tune") a.tune_file = need(i);
+    else if (f == "--overlap-beta") {
+      a.overlap_beta = parse_double(need(i), f);
+      MFBC_CHECK(a.overlap_beta >= 0 && a.overlap_beta <= 1.0,
+                 "--overlap-beta expects a value in [0,1]");
+    }
+    else if (f == "--c") a.c = parse_int<int>(need(i), f);
+    else if (f == "--top") a.top = parse_int<int>(need(i), f);
     else if (f == "--tune-profile") a.tune_profile = need(i);
     else if (f == "--calibrate") a.calibrate_file = need(i);
     else if (f == "--explain-plan") a.explain_plan = true;
     else if (f == "--faults") a.faults = need(i);
-    else if (f == "--fault-seed")
-      a.fault_seed = std::strtoull(need(i), nullptr, 10);
-    else if (f == "--spares") a.spares = std::atoi(need(i));
+    else if (f == "--fault-seed") a.fault_seed = parse_u64(need(i), f);
+    else if (f == "--spares") a.spares = parse_int<int>(need(i), f);
     else if (f == "--checkpoint-dir") a.checkpoint_dir = need(i);
     else if (f == "--resume") a.resume = true;
     else if (f == "--json") a.json_file = need(i);
-    else if (f == "--seed") a.seed = std::strtoull(need(i), nullptr, 10);
+    else if (f == "--seed") a.seed = parse_u64(need(i), f);
     else if (f == "--help" || f == "-h") a.help = true;
     else throw Error("unknown flag: " + f);
   }
@@ -273,21 +268,22 @@ graph::Graph load_graph(const Args& a) {
                   .one_indexed = a.one_indexed});
   }
   if (!a.rmat.empty()) {
+    const std::vector<std::string> se = split(a.rmat, ',');
+    if (se.size() != 2) throw Error("--rmat expects S,E");
     graph::RmatParams p;
-    if (std::sscanf(a.rmat.c_str(), "%d,%lf", &p.scale, &p.edge_factor) != 2) {
-      throw Error("--rmat expects S,E");
-    }
+    p.scale = parse_int<int>(se[0], "--rmat S");
+    p.edge_factor = parse_double(se[1], "--rmat E");
     p.directed = a.directed;
     p.weights = {a.weighted, 1, 100};
     return graph::random_relabel(graph::remove_isolated(graph::rmat(p, a.seed)),
                                  a.seed ^ 0xabc);
   }
   if (!a.er.empty()) {
-    long long n = 0, m = 0;
-    if (std::sscanf(a.er.c_str(), "%lld,%lld", &n, &m) != 2) {
-      throw Error("--er expects N,M");
-    }
-    return graph::erdos_renyi(n, m, a.directed, {a.weighted, 1, 100}, a.seed);
+    const std::vector<std::string> nm = split(a.er, ',');
+    if (nm.size() != 2) throw Error("--er expects N,M");
+    return graph::erdos_renyi(parse_int(nm[0], "--er N"),
+                              parse_int(nm[1], "--er M"), a.directed,
+                              {a.weighted, 1, 100}, a.seed);
   }
   if (!a.snap.empty()) {
     for (const auto& spec : graph::snap_specs()) {
@@ -298,6 +294,7 @@ graph::Graph load_graph(const Args& a) {
   throw Error("no graph source given (try --help)");
 }
 
+/// --approx K: the first K vertex ids (a prefix, not a random sample).
 std::vector<graph::vid_t> pivot_sources(const graph::Graph& g,
                                         graph::vid_t k) {
   std::vector<graph::vid_t> out;
@@ -415,30 +412,38 @@ int report_unrecoverable(const sim::FaultError& e, const Args& a,
   return 3;
 }
 
-/// Sampler options for --approx eps,delta[,seed] (mfbc/adaptive.hpp).
-core::AdaptiveSamplerOptions adaptive_opts(const Args& a,
-                                           const graph::Graph& g) {
-  core::AdaptiveSamplerOptions o;
-  o.eps = a.approx_eps;
-  o.delta = a.approx_delta;
-  o.seed = a.approx_seed;
+/// One BC run of `engine` (DistMfbc or CombBlasBc) over opts.sources or,
+/// with --approx eps,delta[,seed], under the adaptive sampler
+/// (mfbc/adaptive.hpp), whose outcome is printed and kept in `approx_block`.
+template <class Engine, class Options, class Stats>
+std::vector<double> run_engine(const Args& a, const graph::Graph& g,
+                               Engine& engine, const Options& opts,
+                               Stats* stats, telemetry::Json& approx_block) {
+  if (!a.adaptive) return engine.run(opts, stats);
+  core::AdaptiveSamplerOptions o = a.sampler;
   o.batch_size = a.batch;
   o.checkpoint_dir = a.checkpoint_dir;
   o.resume = a.resume;
   o.graph_sig = graph::structural_signature(g);
-  return o;
-}
-
-void print_adaptive_summary(const core::AdaptiveSampleResult& r,
-                            const core::AdaptiveSamplerOptions& o,
-                            graph::vid_t n) {
+  const core::AdaptiveSampleResult r = core::run_adaptive_bc(
+      g.n(), o,
+      [&](const std::vector<graph::vid_t>& srcs,
+          const core::BatchRunOptions::BatchObserver& ob, bool resume) {
+        Options ropts = opts;
+        ropts.sources = srcs;
+        ropts.on_batch = ob;
+        ropts.resume = resume;
+        return engine.run(ropts, stats);
+      });
   std::printf("approx: eps=%g delta=%g seed=%llu -> %lld/%lld sources in %d "
               "batches, stop=%s, guarantee %s, max CI half-width %.3g\n",
               o.eps, o.delta, static_cast<unsigned long long>(o.seed),
               static_cast<long long>(r.samples_used),
-              static_cast<long long>(n), r.batches,
+              static_cast<long long>(g.n()), r.batches,
               core::adaptive_stop_name(r.stop_reason),
               r.guarantee_met ? "met" : "NOT met", r.max_ci_width);
+  approx_block = core::approx_json(r, o);
+  return r.lambda;
 }
 
 /// Attach the adaptive plan tuner when --tune-profile was given.
@@ -472,23 +477,8 @@ bool allow_async_of(const Args& a) {
 
 int run(const Args& a) {
   if (a.threads > 0) support::set_threads(a.threads);
-  if (!a.tune_file.empty()) {
-    std::puts("running the model tuner (calibration kernels)...");
-    const sim::TuneResult r = sim::tune_machine();
-    sim::save_model_file(a.tune_file, r.model);
-    std::printf("measured %.1f Mops/s (kernel spread %.2fx); model written "
-                "to %s\n",
-                r.measured_ops_per_second / 1e6, r.spread,
-                a.tune_file.c_str());
-    return 0;
-  }
-  sim::MachineModel machine =
-      a.model_file.empty() ? sim::MachineModel::blue_waters()
-                           : sim::load_model_file(a.model_file);
-  if (a.overlap_beta >= 0) {
-    MFBC_CHECK(a.overlap_beta <= 1.0, "--overlap-beta expects a value in [0,1]");
-    machine.overlap_beta = a.overlap_beta;
-  }
+  sim::MachineModel machine = sim::MachineModel::blue_waters();
+  if (a.overlap_beta >= 0) machine.overlap_beta = a.overlap_beta;
   int profile_spares = 0;  // spare-class ranks declared by --machine-profile
   if (!a.machine_profile.empty()) {
     MFBC_CHECK(a.ranks > 0, "--machine-profile needs --ranks P");
@@ -715,25 +705,7 @@ int run(const Args& a) {
     opts.tuner = tuner.get();
     baseline::CombBlasStats stats;
     try {
-      if (a.adaptive) {
-        const core::AdaptiveSamplerOptions aopts = adaptive_opts(a, g);
-        const core::AdaptiveSampleResult ares = core::run_adaptive_bc(
-            g.n(), aopts,
-            [&](const std::vector<graph::vid_t>& srcs,
-                const core::BatchRunOptions::BatchObserver& ob,
-                bool resume) {
-              baseline::CombBlasOptions ropts = opts;
-              ropts.sources = srcs;
-              ropts.on_batch = ob;
-              ropts.resume = resume;
-              return engine.run(ropts, &stats);
-            });
-        bc = ares.lambda;
-        print_adaptive_summary(ares, aopts, g.n());
-        approx_block = core::approx_json(ares, aopts);
-      } else {
-        bc = engine.run(opts, &stats);
-      }
+      bc = run_engine(a, g, engine, opts, &stats, approx_block);
     } catch (const sim::FaultError& e) {
       if (e.recoverable()) throw;
       return report_unrecoverable(e, a, sim, stats.batch_retries);
@@ -812,25 +784,7 @@ int run(const Args& a) {
     opts.tuner = tuner.get();
     core::DistMfbcStats stats;
     try {
-      if (a.adaptive) {
-        const core::AdaptiveSamplerOptions aopts = adaptive_opts(a, g);
-        const core::AdaptiveSampleResult ares = core::run_adaptive_bc(
-            g.n(), aopts,
-            [&](const std::vector<graph::vid_t>& srcs,
-                const core::BatchRunOptions::BatchObserver& ob,
-                bool resume) {
-              core::DistMfbcOptions ropts = opts;
-              ropts.sources = srcs;
-              ropts.on_batch = ob;
-              ropts.resume = resume;
-              return engine.run(ropts, &stats);
-            });
-        bc = ares.lambda;
-        print_adaptive_summary(ares, aopts, g.n());
-        approx_block = core::approx_json(ares, aopts);
-      } else {
-        bc = engine.run(opts, &stats);
-      }
+      bc = run_engine(a, g, engine, opts, &stats, approx_block);
     } catch (const sim::FaultError& e) {
       if (e.recoverable()) throw;
       return report_unrecoverable(e, a, sim, stats.batch_retries);
