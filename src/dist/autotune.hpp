@@ -28,7 +28,7 @@ struct TuneOptions {
   /// callers that never opted into nonblocking schedules see the historical
   /// plan space unchanged.
   bool allow_async = false;
-  /// Prefetch tile menu for the async twins (dist/pipeline.hpp): tile 1
+  /// Prefetch tile menu for the async twins (Plan::prefetch_tile): tile 1
   /// posts every next-step broadcast inside the window (maximum overlap,
   /// maximum in-flight memory), larger tiles post 1/tile of them.
   std::vector<int> async_tiles = {1, 4};

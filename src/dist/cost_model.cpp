@@ -35,6 +35,13 @@ const char* dist_name(Dist d) {
   return d == Dist::kBalanced ? "balanced" : "block";
 }
 
+int Plan::prefetch_tile() const { return std::max(tile, 1); }
+
+std::string schedule_name(const Plan& plan) {
+  if (!plan.is_async()) return "sync";
+  return "async(t" + std::to_string(plan.prefetch_tile()) + ")";
+}
+
 std::string Plan::to_string() const {
   std::ostringstream os;
   if (!has_1d() && !has_2d()) {
@@ -49,7 +56,7 @@ std::string Plan::to_string() const {
   }
   // Sync plans keep their historical names (profile files and test pins
   // depend on them); the schedule dimension only shows when it is active.
-  if (is_async()) os << "+async(t" << std::max(tile, 1) << ")";
+  if (is_async()) os << "+" << schedule_name(*this);
   // Same pinning rule for the distribution dimension: block plans keep
   // their historical names.
   if (is_balanced()) os << "+bal";
@@ -110,7 +117,7 @@ double model_memory_words(const Plan& plan, const MultiplyStats& s) {
                      s.nnz_c * s.words_c;
   double mem = replicated * plan.p1 / p + all / p;
   if (plan.is_async() && plan.has_2d()) {
-    // The pipelined driver holds step k+1's broadcast slices while step k's
+    // An async plan holds step k+1's broadcast slices while step k's
     // multiplies run; the tile knob posts ~1/tile of a step's broadcasts
     // early, so in-flight buffers add ~1/tile of one step's slice words.
     auto [y, z] = operands_of(plan.v2);
@@ -121,8 +128,8 @@ double model_memory_words(const Plan& plan, const MultiplyStats& s) {
       if (plan.v2 == Variant2D::kAB && plan.v1 != z) z_words /= plan.p1;
     }
     const double steps = static_cast<double>(std::lcm(plan.p2, plan.p3));
-    const int tile = std::max(plan.tile, 1);
-    mem += (y_words / plan.p2 + z_words / plan.p3) / (steps * tile);
+    mem += (y_words / plan.p2 + z_words / plan.p3) /
+           (steps * plan.prefetch_tile());
   }
   return mem;
 }
@@ -183,7 +190,7 @@ ModelCost model_cost(const Plan& plan, const MultiplyStats& s,
                  sim::log2_ceil(std::max(plan.p2, plan.p3)) * alpha;
 
     if (plan.is_async()) {
-      // Async schedule: the pipelined driver hides the broadcast side of
+      // Async schedule: the 2D step loop hides the broadcast side of
       // the 2D level (Y always; Z too for kAB — for kAC/kBC, Z = C moves in
       // *reductions*, which depend on the step's multiplies and cannot be
       // prefetched) behind the multiplies. The tile knob posts 1/tile of
@@ -193,8 +200,8 @@ ModelCost model_cost(const Plan& plan, const MultiplyStats& s,
       if (plan.v2 == Variant2D::kAB) {
         bcast_bw += 2.0 * (z_words / plan.p3) * beta;
       }
-      const int tile = std::max(plan.tile, 1);
-      c.overlap = mm.overlap_beta * std::min(bcast_bw / tile, c.compute);
+      c.overlap = mm.overlap_beta *
+                  std::min(bcast_bw / plan.prefetch_tile(), c.compute);
     }
   }
   // Pure 1D needs no extra term: with p2·p3 = 1 the 1D-level charge above is

@@ -25,11 +25,12 @@ using sparse::nnz_t;
 enum class Variant1D { kA, kB, kC };
 enum class Variant2D { kAB, kAC, kBC };
 
-/// Communication schedule of a plan's 2D level: kSync issues the blocking
-/// lcm-step broadcast/reduce schedule; kAsync runs the pipelined driver
-/// (dist/pipeline.hpp) that posts step k+1's broadcasts as nonblocking
-/// collectives inside step k's overlap window. Charged results differ only
-/// by the overlap credit — outputs are bit-identical (sim/async.hpp).
+/// Communication schedule of a plan's 2D level. Both run the one lcm-step
+/// broadcast/reduce loop (dist::detail::spgemm_2d): kSync charges every
+/// broadcast blocking; kAsync also prefetches step k+1's slices and posts
+/// their broadcasts as nonblocking collectives inside step k's overlap
+/// window. Charged results differ only by the overlap credit — outputs are
+/// bit-identical (sim/async.hpp).
 enum class Sched { kSync, kAsync };
 
 /// Data-distribution dimension of a plan (docs/partitioning.md): kBlock is
@@ -68,6 +69,10 @@ struct Plan {
   bool is_async() const { return sched == Sched::kAsync; }
   bool is_balanced() const { return dist == Dist::kBalanced; }
 
+  /// The prefetch split factor an async plan runs with: `tile` clamped to
+  /// at least 1.
+  int prefetch_tile() const;
+
   /// The same plan with the schedule dimension stripped. Two plans sharing a
   /// sync shape share operand home layouts, so switching between them is
   /// free (the tuner's hysteresis and HomeCache both key on this).
@@ -82,6 +87,9 @@ struct Plan {
 
   friend bool operator==(const Plan&, const Plan&) = default;
 };
+
+/// Schedule tag for tables and --explain-plan: "sync" or "async(tN)".
+std::string schedule_name(const Plan& plan);
 
 /// Problem statistics the model needs. nnz_c and ops may be exact (measured
 /// on a previous iteration) or the §5.2 uniform estimates.

@@ -90,7 +90,6 @@ class SlotHeap {
     }
   }
 
-  vid_t remaining(int s) const { return capacity_[static_cast<std::size_t>(s)]; }
   const std::vector<double>& effective_loads() const { return eff_; }
 
  private:
@@ -121,58 +120,12 @@ std::vector<std::vector<vid_t>> pack_degree(const std::vector<double>& load,
   return members;
 }
 
-/// LPT bin-packing of contiguous mini-chunks, heaviest first; a chunk that
-/// overflows its slot's remaining capacity is split, the prefix placed and
-/// the tail treated as a fresh (lighter) chunk.
-std::vector<std::vector<vid_t>> pack_chunks(const std::vector<double>& load,
-                                            SlotHeap& slots, int parts,
-                                            int oversample) {
-  const vid_t n = static_cast<vid_t>(load.size());
-  std::vector<double> prefix(load.size() + 1, 0.0);
-  for (std::size_t i = 0; i < load.size(); ++i) {
-    prefix[i + 1] = prefix[i] + load[i];
-  }
-  const int cuts = parts * std::max(oversample, 1);
-  struct Chunk {
-    Range r;
-    double load;
-  };
-  std::vector<Chunk> chunks;
-  chunks.reserve(static_cast<std::size_t>(cuts));
-  for (int c = 0; c < cuts; ++c) {
-    const Range r = split_range({0, n}, cuts, c);
-    if (r.size() == 0) continue;
-    chunks.push_back({r, prefix[static_cast<std::size_t>(r.hi)] -
-                             prefix[static_cast<std::size_t>(r.lo)]});
-  }
-  std::stable_sort(chunks.begin(), chunks.end(),
-                   [](const Chunk& a, const Chunk& b) {
-                     return a.load > b.load;
-                   });
-  std::vector<std::vector<vid_t>> members(static_cast<std::size_t>(parts));
-  for (Chunk c : chunks) {
-    while (c.r.size() > 0) {
-      const int s = slots.pick();
-      const vid_t take = std::min(c.r.size(), slots.remaining(s));
-      const double taken = prefix[static_cast<std::size_t>(c.r.lo + take)] -
-                           prefix[static_cast<std::size_t>(c.r.lo)];
-      auto& m = members[static_cast<std::size_t>(s)];
-      for (vid_t v = c.r.lo; v < c.r.lo + take; ++v) m.push_back(v);
-      slots.place(s, take, taken);
-      c.r.lo += take;
-      c.load -= taken;
-    }
-  }
-  return members;
-}
-
 }  // namespace
 
 PartitionKind partition_kind_of(const std::string& name) {
   if (name == "block") return PartitionKind::kBlock;
   if (name == "degree") return PartitionKind::kDegree;
-  if (name == "chunk") return PartitionKind::kChunk;
-  MFBC_CHECK(false, "unknown partition kind (block|degree|chunk): " + name);
+  MFBC_CHECK(false, "unknown partition kind (block|degree): " + name);
   return PartitionKind::kBlock;  // unreachable
 }
 
@@ -180,7 +133,6 @@ const char* partition_kind_name(PartitionKind kind) {
   switch (kind) {
     case PartitionKind::kBlock: return "block";
     case PartitionKind::kDegree: return "degree";
-    case PartitionKind::kChunk: return "chunk";
   }
   return "block";
 }
@@ -235,9 +187,7 @@ Partition make_partition(const graph::Graph& g, PartitionKind kind, int parts,
   const std::vector<double> weights = checked_weights(opts, part.parts);
   SlotHeap slots(slot_capacities(n, part.parts), weights);
   std::vector<std::vector<vid_t>> members =
-      kind == PartitionKind::kDegree
-          ? pack_degree(load, slots, part.parts)
-          : pack_chunks(load, slots, part.parts, opts.oversample);
+      pack_degree(load, slots, part.parts);
 
   // Slot s's members take the new ids of split_range piece s, in ascending
   // old-id order inside the slot (locality within the slot costs nothing and

@@ -30,11 +30,9 @@ namespace mfbc::dist {
 ///   kBlock  — identity order, contiguous index ranges (the legacy layout).
 ///   kDegree — LPT greedy bin-packing of vertices by total degree, heaviest
 ///             first, into equal-count slots (best balance, no locality).
-///   kChunk  — contiguous mini-chunks LPT-packed into slots: balances nnz
-///             while keeping runs of consecutive ids together (locality).
-enum class PartitionKind { kBlock, kDegree, kChunk };
+enum class PartitionKind { kBlock, kDegree };
 
-/// Parse "block" | "degree" | "chunk" (aborts on anything else).
+/// Parse "block" | "degree" (aborts on anything else).
 PartitionKind partition_kind_of(const std::string& name);
 const char* partition_kind_name(PartitionKind kind);
 
@@ -50,9 +48,6 @@ struct PartitionBalance {
 };
 
 struct PartitionOptions {
-  /// kChunk granularity: the id space is cut into parts×oversample
-  /// contiguous mini-chunks before packing.
-  int oversample = 8;
   /// Optional per-slot capacity weights (e.g. relative flop rates of a
   /// heterogeneous fleet): a slot with weight w attracts load ∝ w. Empty =
   /// uniform. Size must equal `parts` when non-empty.

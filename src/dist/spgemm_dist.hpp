@@ -27,7 +27,7 @@
 #include "dist/autotune.hpp"
 #include "dist/cost_model.hpp"
 #include "dist/dmatrix.hpp"
-#include "dist/pipeline.hpp"
+#include "sim/async.hpp"
 #include "sim/charge_log.hpp"
 #include "sim/faults.hpp"
 #include "sparse/spgemm.hpp"
@@ -47,8 +47,8 @@ struct DistSpgemmStats {
   /// dist.imbalance.ops gauge and bench_partition's measured imbalance.
   std::vector<double> rank_ops;
 
-  /// Record `ops` charged against `rank` (shared hook of the sync and
-  /// pipelined 2D drivers).
+  /// Record `ops` charged against `rank` (called by the 2D step loop for
+  /// each block multiply).
   void note_rank_ops(int rank, double ops) {
     const auto r = static_cast<std::size_t>(rank);
     if (r >= rank_ops.size()) rank_ops.resize(r + 1, 0.0);
@@ -362,6 +362,18 @@ std::vector<DistMatrix<T>> replicate_layers(sim::Sim& sim,
 
 /// One layer's 2D multiply: operands must already sit on homes_2d layouts.
 ///
+/// Both schedules run this one loop over the lcm(p2,p3) steps whose split
+/// range is non-empty. Each step builds its slices (unless the previous
+/// step prefetched them), charges the broadcasts not posted yet, then runs
+/// its multiplies and reductions. A sync plan stops there and holds one
+/// step's slices at a time. An async plan wraps the multiplies in an
+/// overlap window (sim/async.hpp) and, before the window closes, prefetches
+/// the next step's slices and posts ceil(count/tile) of their broadcasts
+/// inside it. A posted broadcast charges the same group and payload at the
+/// same position of the charge sequence as a plain one, so results, fault
+/// schedules and ABFT checksums are bit-identical between the schedules;
+/// only the charged cost differs, by the windows' overlap credits.
+///
 /// Charger is duck-typed over sim::Sim and sim::ChargeLog: the outer 3D
 /// driver runs layers concurrently, handing each layer a private ChargeLog
 /// that it replays into the real Sim in layer order at the barrier.
@@ -372,11 +384,12 @@ std::vector<DistMatrix<T>> replicate_layers(sim::Sim& sim,
 /// and stats sums are bit-identical to the serial schedule.
 template <algebra::Monoid M, typename Charger, typename TA, typename TB,
           typename F>
-DistMatrix<typename M::value_type> spgemm_2d(Charger& sim, Variant2D v2,
+DistMatrix<typename M::value_type> spgemm_2d(Charger& sim, const Plan& plan,
                                              const DistMatrix<TA>& a,
                                              const DistMatrix<TB>& b, F f,
                                              DistSpgemmStats* st) {
   using TC = typename M::value_type;
+  const Variant2D v2 = plan.v2;
   const Range rm = a.layout().rows;
   const Range rk = a.layout().cols;
   const Range rn = b.layout().cols;
@@ -389,11 +402,20 @@ DistMatrix<typename M::value_type> spgemm_2d(Charger& sim, Variant2D v2,
              "operands must share the layer grid");
   const Layout cl = Layout{rank0, p2, p3, rm, rn, false};
   DistMatrix<TC> c(a.nrows(), b.ncols(), cl);
+  // A single-rank layer has nothing to overlap, so it charges as sync.
+  const bool pipelined = plan.is_async() && p2 * p3 > 1;
 
   auto charge_multiply = [&](int rank, const sparse::SpgemmStats& s,
                              nnz_t union_touched) {
-    sim.charge_compute(rank, static_cast<double>(s.ops) +
-                                 static_cast<double>(union_touched));
+    const double ops =
+        static_cast<double>(s.ops) + static_cast<double>(union_touched);
+    // Tagged as overlapped work on an async plan; the ledger effect equals
+    // charge_compute.
+    if (pipelined) {
+      sim.overlap_compute(rank, ops);
+    } else {
+      sim.charge_compute(rank, ops);
+    }
     if (st != nullptr) {
       st->total_ops += static_cast<double>(s.ops);
       st->note_rank_ops(rank, static_cast<double>(s.ops));
@@ -411,51 +433,100 @@ DistMatrix<typename M::value_type> spgemm_2d(Charger& sim, Variant2D v2,
   }
 
   const int steps = std::lcm(p2, p3);
+  // The dimension the steps split: k for kAB, m for kAC, n for kBC. A step
+  // whose piece is empty moves and charges nothing.
+  const Range split_base = v2 == Variant2D::kAB   ? rk
+                           : v2 == Variant2D::kAC ? rm
+                                                  : rn;
+  std::vector<int> active;
+  active.reserve(static_cast<std::size_t>(steps));
   for (int step = 0; step < steps; ++step) {
+    if (split_range(split_base, steps, step).size() > 0) active.push_back(step);
+  }
+
+  // The broadcast slices of one step: slices of A go along grid rows (kAB,
+  // kAC), slices of B along grid columns (kAB, kBC).
+  std::vector<Csr<TA>> a_slice;
+  std::vector<Csr<TB>> b_slice;
+
+  // Slice construction is pure per grid row/column; the broadcast charges
+  // depend only on the slice sizes, so they are applied afterwards in the
+  // serial order.
+  auto build_slices = [&](int step) {
+    const Range r = split_range(split_base, steps, step);
+    a_slice.clear();
+    b_slice.clear();
+    if (v2 != Variant2D::kBC) {
+      // kAB: a k-slice of A; kAC: an m-slice of A, which lives transposed
+      // (m split by p3).
+      const int ja = step / (steps / p3);
+      const Range a_rows = a.layout().block_rows(0, ja);
+      a_slice.resize(static_cast<std::size_t>(p2));
+      support::parallel_for(static_cast<std::size_t>(p2), [&](std::size_t i) {
+        const auto& blk = a.block(static_cast<int>(i), ja);
+        a_slice[i] = v2 == Variant2D::kAB
+                         ? sparse::slice_cols(blk, r.lo, r.hi)
+                         : sparse::slice_rows(blk, r.lo - a_rows.lo,
+                                              r.hi - a_rows.lo);
+      });
+    }
+    if (v2 != Variant2D::kAC) {
+      // kAB: a k-slice of B; kBC: an n-slice of B, which lives transposed
+      // (n split by p2).
+      const int ib = step / (steps / p2);
+      const Range b_rows = b.layout().block_rows(ib, 0);
+      b_slice.resize(static_cast<std::size_t>(p3));
+      support::parallel_for(static_cast<std::size_t>(p3), [&](std::size_t j) {
+        const auto& blk = b.block(ib, static_cast<int>(j));
+        b_slice[j] = v2 == Variant2D::kAB
+                         ? sparse::slice_rows(blk, r.lo - b_rows.lo,
+                                              r.hi - b_rows.lo)
+                         : sparse::slice_cols(blk, r.lo, r.hi);
+      });
+    }
+  };
+
+  // Charge broadcasts [from, to) of the held slices: A along grid rows
+  // first, then B along grid columns. Non-null `handles` posts them into
+  // the open window; group, payload and fault point are the same either way.
+  auto charge_bcasts = [&](int from, int to,
+                           std::vector<sim::AsyncHandle>* handles) {
+    const int na = static_cast<int>(a_slice.size());
+    for (int x = from; x < to; ++x) {
+      std::vector<int> group;
+      double words = 0;
+      if (x < na) {
+        group = cl.row_group(x);
+        words =
+            static_cast<double>(a_slice[static_cast<std::size_t>(x)].nnz()) *
+            sim::sparse_entry_words<TA>();
+      } else {
+        group = cl.col_group(x - na);
+        words = static_cast<double>(
+                    b_slice[static_cast<std::size_t>(x - na)].nnz()) *
+                sim::sparse_entry_words<TB>();
+      }
+      if (handles != nullptr) {
+        handles->push_back(sim.post_bcast(group, words));
+      } else {
+        sim.charge_bcast(group, words);
+      }
+    }
+  };
+
+  // The step's multiplies and the reductions that consume them.
+  auto run_step = [&](int step) {
+    const Range r = split_range(split_base, steps, step);
     switch (v2) {
       case Variant2D::kAB: {
-        // Stationary C: broadcast a k-slice of A along grid rows and of B
-        // along grid columns; every rank multiply-accumulates its C block.
-        const Range kr = split_range(rk, steps, step);
-        if (kr.size() == 0) continue;
-        const int ja = step / (steps / p3);
-        const int ib = step / (steps / p2);
-        // Slice construction is pure per grid row/column; the bcast charges
-        // depend only on the slice sizes, so they are applied afterwards in
-        // the serial order.
-        std::vector<Csr<TA>> a_slice(static_cast<std::size_t>(p2));
-        support::parallel_for(static_cast<std::size_t>(p2), [&](std::size_t i) {
-          a_slice[i] = sparse::slice_cols(a.block(static_cast<int>(i), ja),
-                                          kr.lo, kr.hi);
-        });
-        for (int i = 0; i < p2; ++i) {
-          auto group = cl.row_group(i);
-          sim.charge_bcast(group,
-                           static_cast<double>(
-                               a_slice[static_cast<std::size_t>(i)].nnz()) *
-                               sim::sparse_entry_words<TA>());
-        }
-        std::vector<Csr<TB>> b_slice(static_cast<std::size_t>(p3));
-        const Range b_rows = b.layout().block_rows(ib, 0);
-        support::parallel_for(static_cast<std::size_t>(p3), [&](std::size_t j) {
-          b_slice[j] = sparse::slice_rows(b.block(ib, static_cast<int>(j)),
-                                          kr.lo - b_rows.lo, kr.hi - b_rows.lo);
-        });
-        for (int j = 0; j < p3; ++j) {
-          auto group = cl.col_group(j);
-          sim.charge_bcast(group,
-                           static_cast<double>(
-                               b_slice[static_cast<std::size_t>(j)].nnz()) *
-                               sim::sparse_entry_words<TB>());
-        }
-        // Every (i,j) multiply updates a distinct C block; charges replay in
-        // (i,j) lexicographic order — the serial schedule — at the barrier.
+        // Stationary C: every (i,j) multiply updates a distinct C block;
+        // charges replay in (i,j) lexicographic order — the serial
+        // schedule — at the barrier.
         struct MulDeferred {
           sparse::SpgemmStats s;
           nnz_t touched = 0;
         };
-        std::vector<MulDeferred> deferred(
-            static_cast<std::size_t>(p2 * p3));
+        std::vector<MulDeferred> deferred(static_cast<std::size_t>(p2 * p3));
         support::parallel_for(
             static_cast<std::size_t>(p2 * p3), [&](std::size_t t) {
               const int i = static_cast<int>(t) / p3;
@@ -463,42 +534,26 @@ DistMatrix<typename M::value_type> spgemm_2d(Charger& sim, Variant2D v2,
               auto partial = sparse::spgemm<M>(
                   a_slice[static_cast<std::size_t>(i)],
                   b_slice[static_cast<std::size_t>(j)], f, &deferred[t].s,
-                  /*b_row_offset=*/kr.lo, &sparse::tls_spgemm_workspace<TC>());
+                  /*b_row_offset=*/r.lo, &sparse::tls_spgemm_workspace<TC>());
               deferred[t].touched = partial.nnz() + c.block(i, j).nnz();
               c.block(i, j) = sparse::ewise_union<M>(c.block(i, j), partial);
             });
         for (int i = 0; i < p2; ++i) {
           for (int j = 0; j < p3; ++j) {
-            const MulDeferred& d = deferred[static_cast<std::size_t>(i * p3 + j)];
+            const MulDeferred& d =
+                deferred[static_cast<std::size_t>(i * p3 + j)];
             charge_multiply(cl.rank_at(i, j), d.s, d.touched);
           }
         }
         break;
       }
       case Variant2D::kAC: {
-        // Stationary B: broadcast an m-slice of A along grid rows, reduce
-        // the matching m-slice of C along grid columns.
-        const Range mr = split_range(rm, steps, step);
-        if (mr.size() == 0) continue;
-        const int ja = step / (steps / p3);  // A transposed: m split by p3
-        const int ic = step / (steps / p2);  // C rows split by p2
-        std::vector<Csr<TA>> a_slice(static_cast<std::size_t>(p2));
-        const Range a_rows = a.layout().block_rows(0, ja);
-        support::parallel_for(static_cast<std::size_t>(p2), [&](std::size_t i) {
-          a_slice[i] = sparse::slice_rows(a.block(static_cast<int>(i), ja),
-                                          mr.lo - a_rows.lo, mr.hi - a_rows.lo);
-        });
-        for (int i = 0; i < p2; ++i) {
-          auto group = cl.row_group(i);
-          sim.charge_bcast(group,
-                           static_cast<double>(
-                               a_slice[static_cast<std::size_t>(i)].nnz()) *
-                               sim::sparse_entry_words<TA>());
-        }
+        // Stationary B: reduce the step's m-slice of C along grid columns.
         // Parallel over grid columns; each column keeps its inner reduction
         // serial in ascending i so the ⊕ order (and thus any floating-point
         // sum) matches the serial schedule exactly. C blocks written per
         // column are distinct (ic fixed, j varies).
+        const int ic = step / (steps / p2);  // C rows split by p2
         struct ColDeferred {
           std::vector<sparse::SpgemmStats> s;
           std::vector<nnz_t> touched;
@@ -511,7 +566,7 @@ DistMatrix<typename M::value_type> spgemm_2d(Charger& sim, Variant2D v2,
               ColDeferred& d = deferred[jt];
               d.s.resize(static_cast<std::size_t>(p2));
               d.touched.resize(static_cast<std::size_t>(p2));
-              Csr<TC> reduced(mr.size(), b.ncols());
+              Csr<TC> reduced(r.size(), b.ncols());
               for (int i = 0; i < p2; ++i) {
                 const Range b_rows = b.layout().block_rows(i, j);
                 auto partial = sparse::spgemm<M>(
@@ -525,7 +580,7 @@ DistMatrix<typename M::value_type> spgemm_2d(Charger& sim, Variant2D v2,
               d.reduced_nnz = reduced.nnz();
               const Range c_rows = cl.block_rows(ic, j);
               auto embedded = sparse::embed_rows(reduced, c_rows.size(),
-                                                 mr.lo - c_rows.lo);
+                                                 r.lo - c_rows.lo);
               c.block(ic, j) = sparse::ewise_union<M>(c.block(ic, j), embedded);
             });
         for (int j = 0; j < p3; ++j) {
@@ -534,6 +589,8 @@ DistMatrix<typename M::value_type> spgemm_2d(Charger& sim, Variant2D v2,
             charge_multiply(cl.rank_at(i, j), d.s[static_cast<std::size_t>(i)],
                             d.touched[static_cast<std::size_t>(i)]);
           }
+          // The reduction consumes this step's multiplies — dependent work,
+          // charged plainly (never posted, never credited).
           sim.charge_reduce(cl.col_group(j),
                             static_cast<double>(d.reduced_nnz) *
                                 sim::sparse_entry_words<TC>());
@@ -541,26 +598,11 @@ DistMatrix<typename M::value_type> spgemm_2d(Charger& sim, Variant2D v2,
         break;
       }
       case Variant2D::kBC: {
-        // Stationary A: broadcast an n-slice of B along grid columns, reduce
-        // the matching n-slice of C along grid rows.
-        const Range nr = split_range(rn, steps, step);
-        if (nr.size() == 0) continue;
-        const int ib = step / (steps / p2);  // B transposed: n split by p2
-        const int jc = step / (steps / p3);  // C cols split by p3
-        std::vector<Csr<TB>> b_slice(static_cast<std::size_t>(p3));
-        support::parallel_for(static_cast<std::size_t>(p3), [&](std::size_t j) {
-          b_slice[j] = sparse::slice_cols(b.block(ib, static_cast<int>(j)),
-                                          nr.lo, nr.hi);
-        });
-        for (int j = 0; j < p3; ++j) {
-          auto group = cl.col_group(j);
-          sim.charge_bcast(group,
-                           static_cast<double>(
-                               b_slice[static_cast<std::size_t>(j)].nnz()) *
-                               sim::sparse_entry_words<TB>());
-        }
+        // Stationary A: reduce the step's n-slice of C along grid rows.
         // Parallel over grid rows, mirroring kAC: serial inner j reduction
         // per row, distinct C blocks (i varies, jc fixed).
+        const int ib = step / (steps / p2);  // B transposed: n split by p2
+        const int jc = step / (steps / p3);  // C cols split by p3
         struct RowDeferred {
           std::vector<sparse::SpgemmStats> s;
           std::vector<nnz_t> touched;
@@ -600,6 +642,35 @@ DistMatrix<typename M::value_type> spgemm_2d(Charger& sim, Variant2D v2,
         break;
       }
     }
+  };
+
+  const int tile = plan.prefetch_tile();
+  int posted = 0;  // broadcasts of the held slices posted in the last window
+  for (std::size_t idx = 0; idx < active.size(); ++idx) {
+    if (idx == 0 || !pipelined) build_slices(active[idx]);
+    // Step 0's broadcasts cannot hide behind anything; a later step's
+    // un-posted suffix charges directly after the previous window closes.
+    charge_bcasts(posted, static_cast<int>(a_slice.size() + b_slice.size()),
+                  nullptr);
+    if (!pipelined) {
+      run_step(active[idx]);
+      continue;
+    }
+    std::vector<sim::AsyncHandle> handles;
+    sim.overlap_open(cl.ranks(), -1.0);
+    run_step(active[idx]);
+    posted = 0;
+    if (idx + 1 < active.size()) {
+      // Prefetch: construct the next step's slices while this step's
+      // multiplies are (simulated-)in-flight, and post ceil(count/tile) of
+      // their broadcasts inside the window.
+      build_slices(active[idx + 1]);
+      const int count = static_cast<int>(a_slice.size() + b_slice.size());
+      posted = (count + tile - 1) / tile;
+      charge_bcasts(0, posted, &handles);
+    }
+    for (const sim::AsyncHandle& h : handles) sim.overlap_wait(h);
+    sim.overlap_close();
   }
   return c;
 }
@@ -789,17 +860,8 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
   std::vector<sim::ChargeLog> layer_logs(static_cast<std::size_t>(p1));
   std::vector<DistSpgemmStats> layer_stats(static_cast<std::size_t>(p1));
   support::parallel_for(static_cast<std::size_t>(p1), [&](std::size_t l) {
-    // Schedule dimension: the async plan runs the pipelined driver, whose
-    // charge sequence is identical to spgemm_2d's — only the overlap-credit
-    // accounting differs, so results are bit-identical either way.
-    if (plan.is_async() && layer_sz > 1) {
-      cs[l] = detail::spgemm_2d_async<M>(
-          layer_logs[l], plan.v2, plan.tile, as[l], bs[l], f,
-          st != nullptr ? &layer_stats[l] : nullptr);
-    } else {
-      cs[l] = detail::spgemm_2d<M>(layer_logs[l], plan.v2, as[l], bs[l], f,
-                                   st != nullptr ? &layer_stats[l] : nullptr);
-    }
+    cs[l] = detail::spgemm_2d<M>(layer_logs[l], plan, as[l], bs[l], f,
+                                 st != nullptr ? &layer_stats[l] : nullptr);
   });
   for (std::size_t l = 0; l < static_cast<std::size_t>(p1); ++l) {
     layer_logs[l].replay(sim);

@@ -1,8 +1,9 @@
-// The async schedule engine (sim/async.hpp + dist/pipeline.hpp): overlap
-// windows are a pure accounting credit, so every test here checks two sides
-// of the same contract — the data path (results, W, S, fault schedules) is
-// bit-identical between sync and async schedules, and the charged cost of an
-// async schedule is componentwise never above its synchronous twin.
+// The async schedule (sim/async.hpp overlap windows, driven by the one 2D
+// step loop dist::detail::spgemm_2d): overlap windows are a pure accounting
+// credit, so every test here checks two sides of the same contract — the
+// data path (results, W, S, fault schedules) is bit-identical between sync
+// and async plans, and the charged cost of an async plan is componentwise
+// never above its synchronous twin.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +12,6 @@
 
 #include "algebra/multpath.hpp"
 #include "dist/autotune.hpp"
-#include "dist/pipeline.hpp"
 #include "dist/spgemm_dist.hpp"
 #include "graph/generators.hpp"
 #include "mfbc/mfbc_dist.hpp"
@@ -437,26 +437,31 @@ TEST(PipelinedSpgemm, ThreadCountInvariant) {
 }
 
 TEST(PipelinedSpgemm, FaultScheduleIsPureInSeedAndChargeIndex) {
-  // The pipelined driver posts and waits out of program order relative to
-  // the naive reading of the schedule — but charges in the exact sync
-  // order, so the injector sees the same charge indices, same groups, and
-  // fires the same faults.
-  Plan plan;
-  plan.p2 = 2;
-  plan.p3 = 2;
-  plan.v2 = dist::Variant2D::kAB;
-  Plan async = plan;
-  async.sched = dist::Sched::kAsync;
-  async.tile = 1;
-
-  SpgemmRun sync(4, plan, "trace");
-  SpgemmRun run(4, async, "trace");
-  EXPECT_EQ(run.charge_points, sync.charge_points);
-  ASSERT_EQ(run.trace.size(), sync.trace.size());
-  for (std::size_t i = 0; i < sync.trace.size(); ++i) {
-    EXPECT_EQ(run.trace[i], sync.trace[i]) << "charge point " << i;
+  // An async plan posts broadcasts inside overlap windows and prefetches
+  // the next step's slices — but charges in the exact sync order, so the
+  // injector sees the same charge indices, same groups, and fires the same
+  // faults. Every 2D shape is pinned: the kAC/kBC reductions and non-square
+  // grids interleave with the posted broadcasts differently from kAB.
+  for (int p : {4, 16}) {
+    for (const Plan& plan : dist::enumerate_plans(p)) {
+      if (!plan.has_2d()) continue;
+      SpgemmRun sync(p, plan, "trace");
+      ASSERT_GT(sync.charge_points, 0u) << plan.to_string();
+      for (int tile : {1, 2}) {
+        Plan async = plan;
+        async.sched = dist::Sched::kAsync;
+        async.tile = tile;
+        SpgemmRun run(p, async, "trace");
+        EXPECT_EQ(run.charge_points, sync.charge_points) << async.to_string();
+        ASSERT_EQ(run.trace.size(), sync.trace.size()) << async.to_string();
+        for (std::size_t i = 0; i < sync.trace.size(); ++i) {
+          EXPECT_EQ(run.trace[i], sync.trace[i])
+              << async.to_string() << " on p=" << p << ", charge point " << i;
+        }
+        EXPECT_EQ(run.c, sync.c) << async.to_string();
+      }
+    }
   }
-  EXPECT_EQ(run.c, sync.c);
 }
 
 TEST(PipelinedSpgemm, TransientFaultsPlayOutIdentically) {

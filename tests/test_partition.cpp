@@ -1,6 +1,6 @@
 // Partitioning + heterogeneous-profile pins (docs/partitioning.md):
-// the degree/chunk orderings are bijections that respect the equal-count
-// slot capacities and beat the block split on skewed graphs; relabeled
+// the degree ordering is a bijection that respects the equal-count slot
+// capacities and beats the block split on skewed graphs; relabeled
 // engine runs reproduce the unpermuted centrality across thread counts,
 // fault schedules, and both communication schedules; per-rank profiles
 // price hand-computable costs and collapse to the legacy scalars exactly
@@ -105,21 +105,19 @@ std::vector<double> run_combblas(const Graph& g, dist::PartitionKind kind,
 
 TEST(Partition, DegreeOrderingIsBijectionOnSlotCapacities) {
   const Graph g = hub_graph(97, 3);
-  for (const auto kind :
-       {dist::PartitionKind::kDegree, dist::PartitionKind::kChunk}) {
-    const dist::Partition part = dist::make_partition(g, kind, kRanks);
-    ASSERT_FALSE(part.identity());
-    ASSERT_EQ(part.perm.size(), static_cast<std::size_t>(g.n()));
-    std::vector<char> seen(part.perm.size(), 0);
-    for (std::size_t old = 0; old < part.perm.size(); ++old) {
-      const vid_t nw = part.perm[old];
-      ASSERT_GE(nw, 0);
-      ASSERT_LT(nw, g.n());
-      EXPECT_FALSE(seen[static_cast<std::size_t>(nw)]);
-      seen[static_cast<std::size_t>(nw)] = 1;
-      EXPECT_EQ(part.inv[static_cast<std::size_t>(nw)],
-                static_cast<vid_t>(old));
-    }
+  const auto kind = dist::PartitionKind::kDegree;
+  const dist::Partition part = dist::make_partition(g, kind, kRanks);
+  ASSERT_FALSE(part.identity());
+  ASSERT_EQ(part.perm.size(), static_cast<std::size_t>(g.n()));
+  std::vector<char> seen(part.perm.size(), 0);
+  for (std::size_t old = 0; old < part.perm.size(); ++old) {
+    const vid_t nw = part.perm[old];
+    ASSERT_GE(nw, 0);
+    ASSERT_LT(nw, g.n());
+    EXPECT_FALSE(seen[static_cast<std::size_t>(nw)]);
+    seen[static_cast<std::size_t>(nw)] = 1;
+    EXPECT_EQ(part.inv[static_cast<std::size_t>(nw)],
+              static_cast<vid_t>(old));
   }
 }
 
@@ -128,17 +126,15 @@ TEST(Partition, BalancedOrderingsBeatBlockOnHubGraph) {
   const double block =
       dist::max_mean_imbalance(dist::slot_loads(g, kRanks));
   ASSERT_GT(block, 1.3) << "hub graph should skew the block split";
-  for (const auto kind :
-       {dist::PartitionKind::kDegree, dist::PartitionKind::kChunk}) {
-    const dist::Partition part = dist::make_partition(g, kind, kRanks);
-    EXPECT_LT(part.balance.imbalance(), block)
-        << dist::partition_kind_name(kind);
-    // The recomputed loads of the relabeled graph agree with the packer's
-    // own bookkeeping.
-    const double measured =
-        dist::max_mean_imbalance(dist::slot_loads(part.apply(g), kRanks));
-    EXPECT_NEAR(measured, part.balance.imbalance(), 1e-12);
-  }
+  const auto kind = dist::PartitionKind::kDegree;
+  const dist::Partition part = dist::make_partition(g, kind, kRanks);
+  EXPECT_LT(part.balance.imbalance(), block)
+      << dist::partition_kind_name(kind);
+  // The recomputed loads of the relabeled graph agree with the packer's
+  // own bookkeeping.
+  const double measured =
+      dist::max_mean_imbalance(dist::slot_loads(part.apply(g), kRanks));
+  EXPECT_NEAR(measured, part.balance.imbalance(), 1e-12);
 }
 
 TEST(Partition, DegeneratesAreIdentity) {
@@ -211,8 +207,8 @@ class PartitionIdentity : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Weighted graphs: random integer weights make shortest-path structure
 // essentially tie-free, so the relabeled run must reproduce the unpermuted
-// bits exactly, for every thread count, fault schedule, and both partition
-// kinds. (Unweighted graphs regroup tied-path sums under relabeling — see
+// bits exactly, for every thread count and fault schedule. (Unweighted
+// graphs regroup tied-path sums under relabeling — see
 // EnginesMatchUnpermutedWithinTolerance.)
 TEST_P(PartitionIdentity, MfbcBitIdenticalOnWeightedGraphs) {
   const Graph g =
@@ -225,13 +221,11 @@ TEST_P(PartitionIdentity, MfbcBitIdenticalOnWeightedGraphs) {
   for (const int threads : {1, 2, 4}) {
     support::set_threads(threads);
     for (const std::string& spec : schedules) {
-      for (const auto kind :
-           {dist::PartitionKind::kDegree, dist::PartitionKind::kChunk}) {
-        expect_bits(run_mfbc(g, kind, spec), ref,
-                    std::string(dist::partition_kind_name(kind)) +
-                        ", threads=" + std::to_string(threads) + ", faults='" +
-                        spec + "'");
-      }
+      const auto kind = dist::PartitionKind::kDegree;
+      expect_bits(run_mfbc(g, kind, spec), ref,
+                  std::string(dist::partition_kind_name(kind)) +
+                      ", threads=" + std::to_string(threads) + ", faults='" +
+                      spec + "'");
     }
   }
   // The async-pipelined schedule moves the same values, so the relabeled
@@ -243,8 +237,8 @@ TEST_P(PartitionIdentity, MfbcBitIdenticalOnWeightedGraphs) {
 
 // Unweighted graphs: tied shortest-path sums regroup under relabeling, so
 // cross-partition comparisons get the same 1e-9 relative contract the
-// cross-engine differential tests use. Both engines, all kinds, with and
-// without faults.
+// cross-engine differential tests use. Both engines, with and without
+// faults.
 TEST_P(PartitionIdentity, EnginesMatchUnpermutedWithinTolerance) {
   const Graph g = graph::erdos_renyi(44, 150, false, {}, GetParam() * 2 + 1);
   PoolSizeGuard guard;
@@ -256,15 +250,13 @@ TEST_P(PartitionIdentity, EnginesMatchUnpermutedWithinTolerance) {
   for (const int threads : {1, 4}) {
     support::set_threads(threads);
     for (const std::string& spec : {std::string(), std::string("rank@5:1")}) {
-      for (const auto kind :
-           {dist::PartitionKind::kDegree, dist::PartitionKind::kChunk}) {
-        const std::string label =
-            std::string(dist::partition_kind_name(kind)) +
-            ", threads=" + std::to_string(threads) + ", faults='" + spec + "'";
-        expect_close(run_mfbc(g, kind, spec), ref_mfbc, "mfbc " + label);
-        expect_close(run_combblas(g, kind, spec), ref_comb,
-                     "combblas " + label);
-      }
+      const auto kind = dist::PartitionKind::kDegree;
+      const std::string label =
+          std::string(dist::partition_kind_name(kind)) +
+          ", threads=" + std::to_string(threads) + ", faults='" + spec + "'";
+      expect_close(run_mfbc(g, kind, spec), ref_mfbc, "mfbc " + label);
+      expect_close(run_combblas(g, kind, spec), ref_comb,
+                   "combblas " + label);
     }
   }
   // Within one partition kind the engine contract is unchanged: thread

@@ -29,8 +29,8 @@
 #include "baseline/brandes.hpp"
 #include "baseline/combblas_bc.hpp"
 #include "benchsupport/table.hpp"
+#include "dist/cost_model.hpp"
 #include "dist/partition.hpp"
-#include "dist/pipeline.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/mutate.hpp"
@@ -75,7 +75,7 @@ struct Args {
   int threads = 0;          // 0 = MFBC_THREADS / hardware default
   std::string mode = "auto";  // auto | ca
   std::string schedule = "sync";  // sync | auto | async
-  std::string partition = "block";  // block | degree | chunk
+  std::string partition = "block";  // block | degree
   std::string machine_profile;      // per-rank profile spec, e.g. "4xcpu,4xaccel"
   double overlap_beta = -1.0;     // <0 = keep the machine model's value
   int c = 1;
@@ -143,10 +143,9 @@ void usage() {
       "                      (docs/partitioning.md): block (default) keeps\n"
       "                      the plain contiguous index ranges; degree packs\n"
       "                      vertices into rank slots by total degree\n"
-      "                      (heaviest first); chunk packs contiguous\n"
-      "                      mini-chunks (locality-preserving). Centrality\n"
-      "                      is bit-identical across all three; only the\n"
-      "                      per-rank load balance and charged cost differ\n"
+      "                      (heaviest first). Centrality is bit-identical\n"
+      "                      across both; only the per-rank load balance\n"
+      "                      and charged cost differ\n"
       "machine model (simulated runs):\n"
       "  --machine-profile S heterogeneous per-rank profiles as a comma list\n"
       "                      of COUNTxCLASS (cpu | accel | spare), e.g.\n"
