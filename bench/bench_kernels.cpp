@@ -131,24 +131,25 @@ void BM_SpgemmTropical(benchmark::State& state) {
 }
 BENCHMARK(BM_SpgemmTropical)->Arg(12);
 
-// Same multiply as BM_SpgemmMultpath but through a reused per-call
-// workspace: isolates the cost of the per-call dense accumulator
-// allocation the workspace removes.
-void BM_SpgemmMultpathWorkspace(benchmark::State& state) {
-  const auto g = make_graph(static_cast<int>(state.range(0)), 8);
-  const auto f = make_multpath_frontier(g, std::min<sparse::vid_t>(64, g.n()));
-  sparse::SpgemmWorkspace<Multpath> ws;
+// The er-weighted-seq shape: a 64-source weighted frontier two hops deep on
+// ER n=2048, m=16384 with U{1..100} weights. Its output rows cover most
+// columns, so they take the kernel's dense (occupancy-scan) emission path;
+// BM_SpgemmMultpath's R-MAT rows at scale 14 mostly take the sorted path.
+void BM_SpgemmMultpathDenseRows(benchmark::State& state) {
+  const auto g = graph::erdos_renyi(2048, 16384, /*directed=*/false,
+                                    {true, 1, 100}, /*seed=*/11);
+  auto f = make_multpath_frontier(g, 64);
+  f = sparse::spgemm<MultpathMonoid>(f, g.adj(), BellmanFordAction{});
   sparse::nnz_t ops = 0;
   for (auto _ : state) {
     sparse::SpgemmStats st;
-    auto c = sparse::spgemm<MultpathMonoid>(f, g.adj(), BellmanFordAction{},
-                                            &st, /*b_row_offset=*/0, &ws);
+    auto c = sparse::spgemm<MultpathMonoid>(f, g.adj(), BellmanFordAction{}, &st);
     benchmark::DoNotOptimize(c);
     ops = st.ops;
   }
   set_ops_rate(state, ops);
 }
-BENCHMARK(BM_SpgemmMultpathWorkspace)->Arg(10)->Arg(12)->Arg(14);
+BENCHMARK(BM_SpgemmMultpathDenseRows);
 
 // Distributed 2D multiply (16 virtual ranks) with the execution pool at
 // 1/2/4/8 threads: the per-rank block multiplies run concurrently, so

@@ -60,8 +60,7 @@ class SlotHeap {
   SlotHeap(std::vector<vid_t> capacity, const std::vector<double>& weights)
       : capacity_(std::move(capacity)),
         weights_(weights),
-        eff_(weights.size(), 0.0),
-        raw_(weights.size(), 0.0) {
+        eff_(weights.size(), 0.0) {
     for (int s = 0; s < static_cast<int>(weights_.size()); ++s) {
       if (capacity_[static_cast<std::size_t>(s)] > 0) heap_.push({0.0, s});
     }
@@ -82,7 +81,6 @@ class SlotHeap {
   /// Record `count` ids of total `load` placed on slot `s`.
   void place(int s, vid_t count, double load) {
     capacity_[static_cast<std::size_t>(s)] -= count;
-    raw_[static_cast<std::size_t>(s)] += load;
     eff_[static_cast<std::size_t>(s)] +=
         load / weights_[static_cast<std::size_t>(s)];
     if (capacity_[static_cast<std::size_t>(s)] > 0) {
@@ -96,7 +94,6 @@ class SlotHeap {
   std::vector<vid_t> capacity_;
   std::vector<double> weights_;
   std::vector<double> eff_;
-  std::vector<double> raw_;
   std::priority_queue<std::pair<double, int>,
                       std::vector<std::pair<double, int>>,
                       std::greater<std::pair<double, int>>>
@@ -122,11 +119,10 @@ std::vector<std::vector<vid_t>> pack_degree(const std::vector<double>& load,
 
 }  // namespace
 
-PartitionKind partition_kind_of(const std::string& name) {
+std::optional<PartitionKind> partition_kind_of(const std::string& name) {
   if (name == "block") return PartitionKind::kBlock;
   if (name == "degree") return PartitionKind::kDegree;
-  MFBC_CHECK(false, "unknown partition kind (block|degree): " + name);
-  return PartitionKind::kBlock;  // unreachable
+  return std::nullopt;
 }
 
 const char* partition_kind_name(PartitionKind kind) {

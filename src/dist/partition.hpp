@@ -18,6 +18,7 @@
 // caveat on cross-engine comparisons).
 #pragma once
 
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,8 +33,8 @@ namespace mfbc::dist {
 ///             first, into equal-count slots (best balance, no locality).
 enum class PartitionKind { kBlock, kDegree };
 
-/// Parse "block" | "degree" (aborts on anything else).
-PartitionKind partition_kind_of(const std::string& name);
+/// Parse "block" | "degree"; nullopt on anything else.
+std::optional<PartitionKind> partition_kind_of(const std::string& name);
 const char* partition_kind_name(PartitionKind kind);
 
 /// Balance of the per-slot total-degree loads a partition achieved.

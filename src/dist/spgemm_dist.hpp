@@ -426,8 +426,7 @@ DistMatrix<typename M::value_type> spgemm_2d(Charger& sim, const Plan& plan,
     // Degenerate single-rank layer: one local Gustavson multiply.
     sparse::SpgemmStats s;
     c.block(0, 0) = sparse::spgemm<M>(a.block(0, 0), b.block(0, 0), f, &s,
-                                      /*b_row_offset=*/rk.lo,
-                                      &sparse::tls_spgemm_workspace<TC>());
+                                      /*b_row_offset=*/rk.lo);
     charge_multiply(rank0, s, 0);
     return c;
   }
@@ -534,7 +533,7 @@ DistMatrix<typename M::value_type> spgemm_2d(Charger& sim, const Plan& plan,
               auto partial = sparse::spgemm<M>(
                   a_slice[static_cast<std::size_t>(i)],
                   b_slice[static_cast<std::size_t>(j)], f, &deferred[t].s,
-                  /*b_row_offset=*/r.lo, &sparse::tls_spgemm_workspace<TC>());
+                  /*b_row_offset=*/r.lo);
               deferred[t].touched = partial.nnz() + c.block(i, j).nnz();
               c.block(i, j) = sparse::ewise_union<M>(c.block(i, j), partial);
             });
@@ -572,8 +571,7 @@ DistMatrix<typename M::value_type> spgemm_2d(Charger& sim, const Plan& plan,
                 auto partial = sparse::spgemm<M>(
                     a_slice[static_cast<std::size_t>(i)], b.block(i, j), f,
                     &d.s[static_cast<std::size_t>(i)],
-                    /*b_row_offset=*/b_rows.lo,
-                    &sparse::tls_spgemm_workspace<TC>());
+                    /*b_row_offset=*/b_rows.lo);
                 d.touched[static_cast<std::size_t>(i)] = partial.nnz();
                 reduced = sparse::ewise_union<M>(reduced, partial);
               }
@@ -621,8 +619,7 @@ DistMatrix<typename M::value_type> spgemm_2d(Charger& sim, const Plan& plan,
                 auto partial = sparse::spgemm<M>(
                     a.block(i, j), b_slice[static_cast<std::size_t>(j)], f,
                     &d.s[static_cast<std::size_t>(j)],
-                    /*b_row_offset=*/b_rows.lo,
-                    &sparse::tls_spgemm_workspace<TC>());
+                    /*b_row_offset=*/b_rows.lo);
                 d.touched[static_cast<std::size_t>(j)] = partial.nnz();
                 reduced = sparse::ewise_union<M>(reduced, partial);
               }

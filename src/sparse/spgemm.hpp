@@ -4,10 +4,24 @@
 // The paper's §6.1 CTF kernel Z["ij"] = f(A["ik"], B["kj"]) is
 // spgemm<Monoid>(A, B, f).
 //
-// The kernel is Gustavson's row-wise algorithm with a sparse accumulator:
-// optimal O(ops(A,B)) work, which is what the paper's cost model assumes for
-// the local block multiplies (§5.1: "all the considered algorithms have an
+// The kernel is Gustavson's row-wise algorithm with a dense accumulator
+// (values, occupancy bytes, and the list of columns the row touched): O(ops)
+// accumulation work, which is what the paper's cost model assumes for the
+// local block multiplies (§5.1: "all the considered algorithms have an
 // optimal computation cost").
+//
+// Row emission. Output columns must come out in ascending order. A row that
+// touched t of the w output columns is emitted one of two ways, by a fixed
+// rule (no knob):
+//   * dense, t · kDenseRowFactor > w: scan the occupancy bytes 0..w-1 in
+//     order — O(w) < O(16 t), no sort, so the row stays O(ops);
+//   * sparse, otherwise: sort the touched list — O(t log t), cheaper than a
+//     width scan when the row is short.
+// Both paths visit exactly the touched columns, in ascending order, and emit
+// the value each column's accumulator already holds (accumulation runs in
+// the same k order either way), dropping identities alike. So every output,
+// and everything computed from it, is bit-identical whichever path a row
+// takes.
 //
 // The `b_row_offset` parameter lets a caller multiply against a row *slice*
 // of a conceptually larger B without materializing a huge rowptr: row k of
@@ -15,10 +29,10 @@
 // and k outside the slice contributes nothing. The distributed SUMMA-style
 // algorithms use this to multiply k-dimension slices (§5.2.2).
 //
-// Callers that multiply many blocks with the same output width (the
-// distributed variants run O(p^1.5) block multiplies per SpGEMM) pass a
-// SpgemmWorkspace so the dense accumulator arrays are allocated once per
-// thread instead of once per call.
+// The accumulator lives in a SpgemmWorkspace: by default the calling
+// thread's tls_spgemm_workspace<TC>(), so every caller — the sequential
+// engine, apps/, and the O(p^1.5) block multiplies of a distributed SpGEMM —
+// allocates it once per thread instead of once per call.
 #pragma once
 
 #include <algorithm>
@@ -111,6 +125,11 @@ nnz_t spgemm_capacity_hint(const Csr<TA>& a, const Csr<TB>& b,
 
 namespace detail {
 
+/// A row whose touched count exceeds 1/kDenseRowFactor of the output width
+/// is emitted by an ascending occupancy scan instead of a sort (see the
+/// header comment).
+inline constexpr std::size_t kDenseRowFactor = 16;
+
 /// Gustavson core over caller-provided scratch. acc/occupied must be clean
 /// (identity / 0) on entry and are clean again on normal exit.
 template <algebra::Monoid M, typename TA, typename TB, typename F>
@@ -121,6 +140,7 @@ Csr<typename M::value_type> spgemm_core(const Csr<TA>& a, const Csr<TB>& b,
                                         std::vector<vid_t>& touched) {
   using TC = typename M::value_type;
   const vid_t ncols = b.ncols();
+  const auto width = static_cast<std::size_t>(ncols);
 
   std::vector<nnz_t> rowptr(static_cast<std::size_t>(a.nrows()) + 1, 0);
   std::vector<vid_t> out_col;
@@ -130,6 +150,17 @@ Csr<typename M::value_type> spgemm_core(const Csr<TA>& a, const Csr<TB>& b,
     out_col.reserve(static_cast<std::size_t>(hint));
     out_val.reserve(static_cast<std::size_t>(hint));
   }
+
+  // Emit column ju of the current row (dropping an identity sum) and leave
+  // its scratch clean.
+  auto emit = [&](std::size_t ju) {
+    if (!M::is_identity(acc[ju])) {
+      out_col.push_back(static_cast<vid_t>(ju));
+      out_val.push_back(std::move(acc[ju]));
+    }
+    occupied[ju] = 0;
+    acc[ju] = M::identity();
+  };
 
   for (vid_t i = 0; i < a.nrows(); ++i) {
     auto acs = a.row_cols(i);
@@ -155,15 +186,13 @@ Csr<typename M::value_type> spgemm_core(const Csr<TA>& a, const Csr<TB>& b,
         }
       }
     }
-    std::sort(touched.begin(), touched.end());
-    for (vid_t j : touched) {
-      auto ju = static_cast<std::size_t>(j);
-      if (!M::is_identity(acc[ju])) {
-        out_col.push_back(j);
-        out_val.push_back(std::move(acc[ju]));
+    if (touched.size() * kDenseRowFactor > width) {
+      for (std::size_t ju = 0; ju < width; ++ju) {
+        if (occupied[ju]) emit(ju);
       }
-      occupied[ju] = 0;
-      acc[ju] = M::identity();
+    } else {
+      std::sort(touched.begin(), touched.end());
+      for (vid_t j : touched) emit(static_cast<std::size_t>(j));
     }
     rowptr[static_cast<std::size_t>(i) + 1] = static_cast<nnz_t>(out_col.size());
   }
@@ -173,6 +202,8 @@ Csr<typename M::value_type> spgemm_core(const Csr<TA>& a, const Csr<TB>& b,
 
 }  // namespace detail
 
+/// C = A •⟨⊕,f⟩ B over monoid M. The accumulator scratch is `ws` if given,
+/// else the calling thread's tls_spgemm_workspace<TC>().
 template <algebra::Monoid M, typename TA, typename TB, typename F>
 Csr<typename M::value_type> spgemm(const Csr<TA>& a, const Csr<TB>& b, F f,
                                    SpgemmStats* stats = nullptr,
@@ -185,24 +216,16 @@ Csr<typename M::value_type> spgemm(const Csr<TA>& a, const Csr<TB>& b, F f,
   MFBC_CHECK(b_row_offset >= 0 && b_row_offset + b.nrows() <= a.ncols(),
              "spgemm B slice out of the inner-dimension range");
 
-  const vid_t ncols = b.ncols();
+  if (ws == nullptr) ws = &tls_spgemm_workspace<TC>();
+  ws->template prepare<M>(b.ncols());
   nnz_t ops = 0;
   Csr<TC> c;
-  if (ws != nullptr) {
-    ws->template prepare<M>(ncols);
-    try {
-      c = detail::spgemm_core<M>(a, b, f, b_row_offset, ops, ws->acc(),
-                                 ws->occupied(), ws->touched());
-    } catch (...) {
-      ws->invalidate();
-      throw;
-    }
-  } else {
-    std::vector<TC> acc(static_cast<std::size_t>(ncols), M::identity());
-    std::vector<unsigned char> occupied(static_cast<std::size_t>(ncols), 0);
-    std::vector<vid_t> touched;
-    c = detail::spgemm_core<M>(a, b, f, b_row_offset, ops, acc, occupied,
-                               touched);
+  try {
+    c = detail::spgemm_core<M>(a, b, f, b_row_offset, ops, ws->acc(),
+                               ws->occupied(), ws->touched());
+  } catch (...) {
+    ws->invalidate();
+    throw;
   }
   if (stats != nullptr) stats->ops += ops;
   return c;

@@ -61,49 +61,45 @@ std::vector<std::string> split(const std::string& text, char sep) {
   return out;
 }
 
-namespace {
-[[noreturn]] void bad_number(const std::string& what, const std::string& why) {
-  throw Error(what + ": " + why);
+void require_flag(bool ok, const std::string& flag,
+                  const std::string& reason) {
+  if (!ok) throw Error(flag + ": " + reason);
 }
-}  // namespace
 
 std::int64_t parse_int(const std::string& text, const std::string& what,
                        std::int64_t max) {
   char* end = nullptr;
   errno = 0;
   const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') {
-    bad_number(what, "expected an integer");
-  }
-  if (v < 0) bad_number(what, "value must be non-negative");
-  if (errno == ERANGE || v > max) {
-    bad_number(what, "value must be at most " + std::to_string(max));
-  }
+  const bool overflow = errno == ERANGE;  // before anything else sets errno
+  require_flag(end != text.c_str() && *end == '\0', what,
+               "expected an integer");
+  require_flag(v >= 0, what, "value must be non-negative");
+  require_flag(!overflow && v <= max, what,
+               "value must be at most " + std::to_string(max));
   return v;
 }
 
 std::uint64_t parse_u64(const std::string& text, const std::string& what) {
   // strtoull would accept "-1" as 2^64 - 1.
-  if (!text.empty() && text[0] == '-') {
-    bad_number(what, "value must be non-negative");
-  }
+  require_flag(text.empty() || text[0] != '-', what,
+               "value must be non-negative");
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') {
-    bad_number(what, "expected an integer");
-  }
-  if (errno == ERANGE) bad_number(what, "value must fit in 64 bits");
+  const bool overflow = errno == ERANGE;  // before anything else sets errno
+  require_flag(end != text.c_str() && *end == '\0', what,
+               "expected an integer");
+  require_flag(!overflow, what, "value must fit in 64 bits");
   return v;
 }
 
 double parse_double(const std::string& text, const std::string& what) {
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
-    bad_number(what, "expected a number");
-  }
-  if (!std::isfinite(v)) bad_number(what, "expected a finite number");
+  require_flag(end != text.c_str() && *end == '\0', what,
+               "expected a number");
+  require_flag(std::isfinite(v), what, "expected a finite number");
   return v;
 }
 

@@ -23,6 +23,11 @@ std::string compact(double v, int digits = 4);
 /// `text` split at every `sep`; empty fields are kept ("a,,b" → 3 fields).
 std::vector<std::string> split(const std::string& text, char sep);
 
+/// Reject a command-line value or flag combination: unless `ok`, throws
+/// mfbc::Error reading "<flag>: <reason>", which the tools print as
+/// "error: <flag>: <reason>" and exit 2.
+void require_flag(bool ok, const std::string& flag, const std::string& reason);
+
 // Strict numeric parsers behind every numeric command-line flag and fault
 // spec item. The whole of `text` must be one base-10 number: trailing text,
 // a sign where none is allowed, or an out-of-range value throws mfbc::Error

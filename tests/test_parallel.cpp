@@ -29,7 +29,6 @@ using algebra::BellmanFordAction;
 using algebra::Multpath;
 using algebra::MultpathMonoid;
 using algebra::SumMonoid;
-using algebra::TropicalMinMonoid;
 using sparse::Coo;
 using sparse::Csr;
 using sparse::nnz_t;
@@ -37,10 +36,6 @@ using sparse::vid_t;
 
 struct Times {
   double operator()(double a, double b) const { return a * b; }
-};
-
-struct Extend {
-  double operator()(double a, double b) const { return a + b; }
 };
 
 Csr<double> random_csr(vid_t m, vid_t n, double density, std::uint64_t seed) {
@@ -203,56 +198,6 @@ TEST(ThreadPool, SerialPoolAccruesUtilizationOnChunkZero) {
   EXPECT_EQ(u[0].regions, 1u);
   EXPECT_GT(u[0].busy_ns, 0.0);
   EXPECT_EQ(u[0].wait_ns, 0.0);  // nothing to wait for without workers
-}
-
-TEST(SpgemmWorkspace, ReuseAcrossCallsMatchesFreshAccumulators) {
-  sparse::SpgemmWorkspace<Multpath> ws;
-  for (std::uint64_t seed : {11, 12, 13}) {
-    // Different shapes per call so the workspace both grows and shrinks
-    // its logical width while staying physically monotone.
-    const vid_t n = 16 + static_cast<vid_t>(seed % 3) * 17;
-    auto f = random_frontier(7, n, 0.3, seed);
-    auto a = random_csr(n, n, 0.25, seed + 100);
-    sparse::SpgemmStats st_ws, st_plain;
-    auto with_ws = sparse::spgemm<MultpathMonoid>(f, a, BellmanFordAction{},
-                                                  &st_ws, 0, &ws);
-    auto plain = sparse::spgemm<MultpathMonoid>(f, a, BellmanFordAction{},
-                                                &st_plain);
-    EXPECT_EQ(with_ws, plain);
-    EXPECT_EQ(st_ws.ops, st_plain.ops);
-  }
-}
-
-TEST(SpgemmWorkspace, RefillsWhenMonoidChangesOverSameValueType) {
-  // SumMonoid (identity 0) and TropicalMinMonoid (identity +inf) share
-  // TC = double: switching monoids must refill the accumulator, or the
-  // stale identities poison every min-accumulation.
-  sparse::SpgemmWorkspace<double> ws;
-  auto a = random_csr(12, 20, 0.4, 21);
-  auto b = random_csr(20, 24, 0.4, 22);
-  EXPECT_EQ(sparse::spgemm<SumMonoid>(a, b, Times{}, nullptr, 0, &ws),
-            sparse::spgemm<SumMonoid>(a, b, Times{}));
-  EXPECT_EQ(sparse::spgemm<TropicalMinMonoid>(a, b, Extend{}, nullptr, 0, &ws),
-            sparse::spgemm<TropicalMinMonoid>(a, b, Extend{}));
-  EXPECT_EQ(sparse::spgemm<SumMonoid>(a, b, Times{}, nullptr, 0, &ws),
-            sparse::spgemm<SumMonoid>(a, b, Times{}));
-}
-
-TEST(SpgemmWorkspace, InvalidatedAfterThrowingBridgeThenRecovers) {
-  sparse::SpgemmWorkspace<double> ws;
-  auto a = random_csr(10, 15, 0.5, 31);
-  auto b = random_csr(15, 15, 0.5, 32);
-  int calls = 0;
-  auto throwing = [&](double x, double y) -> double {
-    if (++calls == 7) throw std::runtime_error("bridge");
-    return x * y;
-  };
-  EXPECT_THROW(
-      sparse::spgemm<SumMonoid>(a, b, throwing, nullptr, 0, &ws),
-      std::runtime_error);
-  // The next prepare() must refill the dirty scratch, so results stay right.
-  EXPECT_EQ(sparse::spgemm<SumMonoid>(a, b, Times{}, nullptr, 0, &ws),
-            sparse::spgemm<SumMonoid>(a, b, Times{}));
 }
 
 TEST(Spgemm, CapacityHintBoundsOutputNnz) {

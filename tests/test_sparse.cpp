@@ -2,9 +2,15 @@
 // structural ops, and the generalized SpGEMM against a dense reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <numeric>
+#include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "algebra/centpath.hpp"
 #include "algebra/multpath.hpp"
 #include "algebra/tropical.hpp"
 #include "sparse/coo.hpp"
@@ -16,6 +22,10 @@
 namespace mfbc::sparse {
 namespace {
 
+using algebra::BellmanFordAction;
+using algebra::BrandesAction;
+using algebra::Centpath;
+using algebra::CentpathMonoid;
 using algebra::kInfWeight;
 using algebra::Multpath;
 using algebra::MultpathMonoid;
@@ -304,6 +314,273 @@ TEST(Spgemm, MultpathShortestPathSemantics) {
 TEST(Spgemm, InnerDimensionMismatchThrows) {
   Csr<double> a(2, 3), b(4, 2);
   EXPECT_THROW(spgemm<SumMonoid>(a, b, Times{}), Error);
+}
+
+// ---- Row emission: dense rows by occupancy scan, sparse rows by sort ----
+//
+// The kernel emits a row by scanning its occupancy bytes when the row touched
+// more than 1/detail::kDenseRowFactor of the output width, and by sorting its
+// touched list otherwise. These tests check both paths against an
+// independent oracle, a dense fold in k order, on outputs of width 4096 whose
+// rows touch every count from one column to the full width.
+
+constexpr vid_t kEmitWidth = 4096;
+
+/// Touched counts of the B rows for an output of `width` columns: every
+/// density from one entry to the full width, packed around the threshold.
+std::vector<vid_t> emission_row_sizes(vid_t width) {
+  const auto edge = static_cast<vid_t>(static_cast<std::size_t>(width) /
+                                       detail::kDenseRowFactor);
+  std::vector<vid_t> sizes{1,         2,        5,         17,
+                           edge - 1,  edge,     edge + 1,  width / 8,
+                           width / 4, width / 2, 3 * width / 4,
+                           width - 1, width};
+  std::erase_if(sizes, [&](vid_t x) { return x < 1 || x > width; });
+  return sizes;
+}
+
+/// B (width columns): each size of emission_row_sizes on a random column
+/// subset, twice in a row — rows 2t and 2t+1 are identical — with weights
+/// U{1..3}, so equal-weight ties are common.
+Csr<double> emission_b(vid_t width, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<vid_t> perm(static_cast<std::size_t>(width));
+  std::iota(perm.begin(), perm.end(), vid_t{0});
+  std::vector<nnz_t> rowptr{0};
+  std::vector<vid_t> col;
+  std::vector<double> val;
+  for (vid_t size : emission_row_sizes(width)) {
+    for (vid_t x = 0; x < size; ++x) {  // partial Fisher–Yates
+      const auto y = x + static_cast<vid_t>(rng.bounded(
+                             static_cast<std::uint64_t>(width - x)));
+      std::swap(perm[static_cast<std::size_t>(x)],
+                perm[static_cast<std::size_t>(y)]);
+    }
+    std::vector<vid_t> cols(perm.begin(), perm.begin() + size);
+    std::sort(cols.begin(), cols.end());
+    std::vector<double> vals;
+    for (vid_t x = 0; x < size; ++x) vals.push_back(rng.weight(1, 3));
+    for (int twin = 0; twin < 2; ++twin) {
+      col.insert(col.end(), cols.begin(), cols.end());
+      val.insert(val.end(), vals.begin(), vals.end());
+      rowptr.push_back(static_cast<nnz_t>(col.size()));
+    }
+  }
+  const auto rows = static_cast<vid_t>(rowptr.size() - 1);
+  return Csr<double>(rows, width, std::move(rowptr), std::move(col),
+                     std::move(val));
+}
+
+/// A over value type TA with inner dimension `inner` (B's row count): an
+/// empty row; each B row alone; each twin pair with opposite integer
+/// coefficients (a SumMonoid product that cancels to the identity), alone
+/// and plus one more row; then rows of 2..8 random B rows. `of(coef)` maps
+/// an integer coefficient in ±[1..9] to a TA value.
+template <typename TA, typename Of>
+Csr<TA> emission_a(vid_t inner, std::uint64_t seed, Of of) {
+  Xoshiro256 rng(seed);
+  auto coef = [&] {
+    const auto c = static_cast<int>(1 + rng.bounded(9));
+    return rng.bounded(2) == 0 ? c : -c;
+  };
+  std::vector<std::vector<std::pair<vid_t, int>>> rows{{}};
+  for (vid_t k = 0; k < inner; ++k) rows.push_back({{k, coef()}});
+  for (vid_t k = 0; k + 1 < inner; k += 2) {
+    const int c = coef();
+    rows.push_back({{k, c}, {k + 1, -c}});
+    const auto other = static_cast<vid_t>(
+        rng.bounded(static_cast<std::uint64_t>(inner)));
+    if (other != k && other != k + 1) {
+      rows.push_back({{k, c}, {k + 1, -c}, {other, coef()}});
+      std::sort(rows.back().begin(), rows.back().end());
+    }
+  }
+  for (int r = 0; r < 24; ++r) {
+    std::vector<vid_t> ks(static_cast<std::size_t>(inner));
+    std::iota(ks.begin(), ks.end(), vid_t{0});
+    const auto picks = static_cast<std::size_t>(2 + rng.bounded(7));
+    for (std::size_t x = 0; x < picks; ++x) {
+      std::swap(ks[x], ks[x + rng.bounded(ks.size() - x)]);
+    }
+    ks.resize(picks);
+    std::sort(ks.begin(), ks.end());
+    rows.emplace_back();
+    for (vid_t k : ks) rows.back().push_back({k, coef()});
+  }
+  std::vector<nnz_t> rowptr{0};
+  std::vector<vid_t> col;
+  std::vector<TA> val;
+  for (const auto& row : rows) {
+    for (const auto& [k, c] : row) {
+      col.push_back(k);
+      val.push_back(of(c));
+    }
+    rowptr.push_back(static_cast<nnz_t>(col.size()));
+  }
+  return Csr<TA>(static_cast<vid_t>(rows.size()), inner, std::move(rowptr),
+                 std::move(col), std::move(val));
+}
+
+/// The oracle: C(i,:) as a dense fold of f(A(i,k), B(k,:)) over A's row in k
+/// order, starting from the identity, then every non-identity column in
+/// index order. `touched` (optional) receives each row's count of columns
+/// any product reached.
+template <algebra::Monoid M, typename TA, typename TB, typename F>
+Csr<typename M::value_type> dense_fold(const Csr<TA>& a, const Csr<TB>& b,
+                                       F f, vid_t b_row_offset = 0,
+                                       std::vector<vid_t>* touched = nullptr) {
+  using TC = typename M::value_type;
+  const auto width = static_cast<std::size_t>(b.ncols());
+  std::vector<nnz_t> rowptr{0};
+  std::vector<vid_t> col;
+  std::vector<TC> val;
+  for (vid_t i = 0; i < a.nrows(); ++i) {
+    std::vector<TC> row(width, M::identity());
+    std::vector<char> hit(width, 0);
+    auto acs = a.row_cols(i);
+    auto avs = a.row_vals(i);
+    for (std::size_t t = 0; t < acs.size(); ++t) {
+      const vid_t k = acs[t] - b_row_offset;
+      if (k < 0 || k >= b.nrows()) continue;
+      auto bcs = b.row_cols(k);
+      auto bvs = b.row_vals(k);
+      for (std::size_t u = 0; u < bcs.size(); ++u) {
+        const auto j = static_cast<std::size_t>(bcs[u]);
+        row[j] = M::combine(row[j], f(avs[t], bvs[u]));
+        hit[j] = 1;
+      }
+    }
+    for (std::size_t j = 0; j < width; ++j) {
+      if (M::is_identity(row[j])) continue;
+      col.push_back(static_cast<vid_t>(j));
+      val.push_back(row[j]);
+    }
+    rowptr.push_back(static_cast<nnz_t>(col.size()));
+    if (touched != nullptr) {
+      touched->push_back(
+          static_cast<vid_t>(std::count(hit.begin(), hit.end(), 1)));
+    }
+  }
+  return Csr<TC>(a.nrows(), b.ncols(), std::move(rowptr), std::move(col),
+                 std::move(val));
+}
+
+template <typename T>
+void expect_strictly_ascending_rows(const Csr<T>& c) {
+  for (vid_t i = 0; i < c.nrows(); ++i) {
+    auto cols = c.row_cols(i);
+    for (std::size_t x = 1; x < cols.size(); ++x) {
+      ASSERT_LT(cols[x - 1], cols[x]) << "row " << i;
+    }
+  }
+}
+
+/// spgemm (on the calling thread's workspace) equals the dense fold, with
+/// strictly ascending columns, on the whole of B and on a row slice of it.
+template <algebra::Monoid M, typename TA, typename F>
+void expect_matches_dense_fold(const Csr<TA>& a, const Csr<double>& b, F f) {
+  const auto c = spgemm<M>(a, b, f);
+  EXPECT_EQ(c, dense_fold<M>(a, b, f));
+  expect_strictly_ascending_rows(c);
+  const vid_t lo = 6, hi = b.nrows() - 4;
+  const auto bs = slice_rows(b, lo, hi);
+  const auto cs = spgemm<M>(a, bs, f, nullptr, lo);
+  EXPECT_EQ(cs, dense_fold<M>(a, bs, f, lo));
+  expect_strictly_ascending_rows(cs);
+}
+
+TEST(SpgemmEmission, SumDropsCancelledColumnsOnBothPaths) {
+  const auto b = emission_b(kEmitWidth, 3);
+  const auto a = emission_a<double>(b.nrows(), 4,
+                                    [](int c) { return double(c); });
+  // The rows touch every count from none to the full width, including
+  // both sides of the dense/sparse threshold.
+  std::vector<vid_t> touched;
+  dense_fold<SumMonoid>(a, b, Times{}, 0, &touched);
+  const auto edge = kEmitWidth / static_cast<vid_t>(detail::kDenseRowFactor);
+  for (vid_t t : {vid_t{0}, vid_t{1}, edge, edge + 1, kEmitWidth}) {
+    EXPECT_NE(std::find(touched.begin(), touched.end(), t), touched.end())
+        << "no row touches exactly " << t << " columns";
+  }
+  expect_matches_dense_fold<SumMonoid>(a, b, Times{});
+  // Row 1 + b.nrows() is the first twin pair with opposite coefficients:
+  // one touched column, empty result. The last twin pair is full width.
+  const auto c = spgemm<SumMonoid>(a, b, Times{});
+  EXPECT_EQ(c.row_nnz(1 + b.nrows()), 0);
+  vid_t full_cancel = -1;
+  for (vid_t i = 0; i < a.nrows() && full_cancel < 0; ++i) {
+    auto ks = a.row_cols(i);
+    if (ks.size() == 2 && ks[0] == b.nrows() - 2) full_cancel = i;
+  }
+  ASSERT_GE(full_cancel, 0);
+  EXPECT_EQ(b.row_nnz(b.nrows() - 1), kEmitWidth);
+  EXPECT_EQ(c.row_nnz(full_cancel), 0);
+}
+
+TEST(SpgemmEmission, MultpathMatchesDenseFold) {
+  const auto b = emission_b(kEmitWidth, 5);
+  const auto a = emission_a<Multpath>(b.nrows(), 6, [](int c) {
+    return Multpath{double(1 + std::abs(c) % 3), double(std::abs(c))};
+  });
+  expect_matches_dense_fold<MultpathMonoid>(a, b, BellmanFordAction{});
+}
+
+TEST(SpgemmEmission, CentpathMatchesDenseFold) {
+  const auto b = emission_b(kEmitWidth, 7);
+  const auto a = emission_a<Centpath>(b.nrows(), 8, [](int c) {
+    return Centpath{double(20 + std::abs(c) % 3), double(c), -1.0};
+  });
+  expect_matches_dense_fold<CentpathMonoid>(a, b, BrandesAction{});
+}
+
+TEST(SpgemmEmission, OneWorkspaceAcrossMonoidsWidthsAndSlices) {
+  // SumMonoid (identity 0) and TropicalMinMonoid (identity +inf) share
+  // TC = double, so switching monoids must refill the accumulator; widths
+  // shrink and grow so stale scratch past the logical width must not leak.
+  SpgemmWorkspace<double> ws;
+  struct Extend {
+    double operator()(double x, double y) const { return x + y; }
+  };
+  std::uint64_t seed = 11;
+  for (vid_t width : {kEmitWidth, vid_t{300}, kEmitWidth + 5, vid_t{4096}}) {
+    const auto b = emission_b(width, seed++);
+    const auto a = emission_a<double>(b.nrows(), seed++,
+                                      [](int c) { return double(c); });
+    const vid_t lo = 4;
+    const auto bs = slice_rows(b, lo, b.nrows() - 2);
+    const auto sum = spgemm<SumMonoid>(a, b, Times{}, nullptr, 0, &ws);
+    EXPECT_EQ(sum, dense_fold<SumMonoid>(a, b, Times{}));
+    const auto trop =
+        spgemm<TropicalMinMonoid>(a, bs, Extend{}, nullptr, lo, &ws);
+    EXPECT_EQ(trop, dense_fold<TropicalMinMonoid>(a, bs, Extend{}, lo));
+    const auto sum_slice = spgemm<SumMonoid>(a, bs, Times{}, nullptr, lo, &ws);
+    EXPECT_EQ(sum_slice, dense_fold<SumMonoid>(a, bs, Times{}, lo));
+    expect_strictly_ascending_rows(sum);
+    expect_strictly_ascending_rows(trop);
+    expect_strictly_ascending_rows(sum_slice);
+  }
+}
+
+TEST(SpgemmEmission, ThrowMidDenseRowThenNextMultiplyIsClean) {
+  // The full-width B row alone: a dense row. The bridge throws halfway
+  // through it, leaving the thread's scratch dirty; the next multiply on
+  // this thread must refill it and match the oracle.
+  const auto b = emission_b(kEmitWidth, 13);
+  const vid_t full = b.nrows() - 1;
+  ASSERT_EQ(b.row_nnz(full), kEmitWidth);
+  Coo<double> one(1, b.nrows());
+  one.push(0, full, 2.0);
+  const auto a_dense = Csr<double>::from_coo<SumMonoid>(std::move(one));
+  int calls = 0;
+  auto throwing = [&](double x, double y) -> double {
+    if (++calls == kEmitWidth / 2) throw std::runtime_error("bridge");
+    return x * y;
+  };
+  EXPECT_THROW(spgemm<SumMonoid>(a_dense, b, throwing), std::runtime_error);
+  EXPECT_EQ(calls, kEmitWidth / 2);
+  const auto a = emission_a<double>(b.nrows(), 14,
+                                    [](int c) { return double(c); });
+  expect_matches_dense_fold<SumMonoid>(a, b, Times{});
 }
 
 }  // namespace

@@ -128,8 +128,8 @@ Args parse(int argc, char** argv) {
       a.full_threshold = parse_double(need(i), f);
     else if (f == "--approx") {
       const std::vector<std::string> parts = split(need(i), ',');
-      MFBC_CHECK(parts.size() == 2 || parts.size() == 3,
-                 "--approx expects eps,delta[,seed]");
+      require_flag(parts.size() == 2 || parts.size() == 3, f,
+                   "expects eps,delta[,seed]");
       a.approx = true;
       a.approx_eps = parse_double(parts[0], "--approx eps");
       a.approx_delta = parse_double(parts[1], "--approx delta");
@@ -150,14 +150,14 @@ graph::Graph load_graph(const Args& a) {
   ws.weighted = a.weighted;
   if (!a.er.empty()) {
     const std::vector<std::string> nm = split(a.er, ',');
-    MFBC_CHECK(nm.size() == 2, "--er expects N,M");
+    require_flag(nm.size() == 2, "--er", "expects N,M");
     return graph::erdos_renyi(parse_int(nm[0], "--er N"),
                               parse_int(nm[1], "--er M"), a.directed, ws,
                               a.seed);
   }
   if (!a.rmat.empty()) {
     const std::vector<std::string> se = split(a.rmat, ',');
-    MFBC_CHECK(se.size() == 2, "--rmat expects S,E");
+    require_flag(se.size() == 2, "--rmat", "expects S,E");
     graph::RmatParams params;
     params.scale = parse_int<int>(se[0], "--rmat S");
     params.edge_factor = parse_double(se[1], "--rmat E");
@@ -178,12 +178,12 @@ double threshold_of(const Args& a) {
 
 int run(const Args& a) {
   if (a.threads > 0) support::set_threads(a.threads);
-  MFBC_CHECK(a.query_threads >= 1, "--query-threads must be >= 1");
-  MFBC_CHECK(a.queries >= 0 && a.mutations >= 0, "counts must be >= 0");
+  require_flag(a.query_threads >= 1, "--query-threads", "must be >= 1");
 
   graph::Graph g = load_graph(a);
   const graph::vid_t n = g.n();
-  MFBC_CHECK(n >= 2, "graph too small to serve");
+  require_flag(n >= 2, a.er.empty() ? "--rmat" : "--er",
+               "graph too small to serve (fewer than 2 vertices)");
   std::printf("serving |V|=%ld |E|=%ld %s %s\n", static_cast<long>(n),
               static_cast<long>(g.m()), a.directed ? "directed" : "undirected",
               a.weighted ? "weighted" : "unweighted");
@@ -397,7 +397,7 @@ int main(int argc, char** argv) {
     }
     return run(a);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "bc_server: %s\n", e.what());
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
 }

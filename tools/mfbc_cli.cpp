@@ -19,6 +19,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -214,7 +215,7 @@ Args parse(int argc, char** argv) {
       const std::string v = need(i);
       if (v.find(',') != std::string::npos) {
         const std::vector<std::string> parts = split(v, ',');
-        MFBC_CHECK(parts.size() <= 3, "--approx expects K or eps,delta[,seed]");
+        require_flag(parts.size() <= 3, f, "expects K or eps,delta[,seed]");
         a.adaptive = true;
         a.sampler.eps = parse_double(parts[0], "--approx eps");
         a.sampler.delta = parse_double(parts[1], "--approx delta");
@@ -233,8 +234,8 @@ Args parse(int argc, char** argv) {
     else if (f == "--machine-profile") a.machine_profile = need(i);
     else if (f == "--overlap-beta") {
       a.overlap_beta = parse_double(need(i), f);
-      MFBC_CHECK(a.overlap_beta >= 0 && a.overlap_beta <= 1.0,
-                 "--overlap-beta expects a value in [0,1]");
+      require_flag(a.overlap_beta >= 0 && a.overlap_beta <= 1.0, f,
+                   "expects a value in [0,1]");
     }
     else if (f == "--c") a.c = parse_int<int>(need(i), f);
     else if (f == "--top") a.top = parse_int<int>(need(i), f);
@@ -469,8 +470,8 @@ void print_tune_summary(tune::Tuner& tuner) {
 /// --schedule → does the plan space include the async-pipelined twins?
 bool allow_async_of(const Args& a) {
   if (a.schedule == "sync") return false;
-  MFBC_CHECK(a.schedule == "auto" || a.schedule == "async",
-             "--schedule expects sync|auto|async, got: " + a.schedule);
+  require_flag(a.schedule == "auto" || a.schedule == "async", "--schedule",
+               "expects sync|auto|async, got: " + a.schedule);
   return true;
 }
 
@@ -480,13 +481,17 @@ int run(const Args& a) {
   if (a.overlap_beta >= 0) machine.overlap_beta = a.overlap_beta;
   int profile_spares = 0;  // spare-class ranks declared by --machine-profile
   if (!a.machine_profile.empty()) {
-    MFBC_CHECK(a.ranks > 0, "--machine-profile needs --ranks P");
+    require_flag(a.ranks > 0, "--machine-profile", "needs --ranks P");
     profile_spares =
         sim::apply_profile_spec(machine, a.machine_profile, a.ranks);
   }
   const bool allow_async = allow_async_of(a);
   // Validate eagerly so a bogus value fails before any expensive work.
-  const dist::PartitionKind pkind = dist::partition_kind_of(a.partition);
+  const std::optional<dist::PartitionKind> parsed_kind =
+      dist::partition_kind_of(a.partition);
+  require_flag(parsed_kind.has_value(), "--partition",
+               "unknown partition kind '" + a.partition + "' (block|degree)");
+  const dist::PartitionKind pkind = *parsed_kind;
   if (!a.calibrate_file.empty()) {
     std::puts("calibrating the section 5.2 planning model "
               "(microbenchmark plan grid)...");
@@ -511,7 +516,7 @@ int run(const Args& a) {
               g.weighted() ? "weighted" : "unweighted", g.avg_degree());
 
   if (a.explain_plan) {
-    MFBC_CHECK(a.ranks > 0, "--explain-plan needs --ranks P");
+    require_flag(a.ranks > 0, "--explain-plan", "needs --ranks P");
     // Model the run's first structurally interesting forward multiply:
     // the frontier holds the first batch's adjacency rows (the shape every
     // later iteration resembles), B is the full adjacency.
@@ -547,8 +552,8 @@ int run(const Args& a) {
       // the candidate table it would actually choose from.
       const int s = static_cast<int>(
           std::lround(std::sqrt(static_cast<double>(a.ranks))));
-      MFBC_CHECK(s * s == a.ranks,
-                 "--explain-plan with --algo combblas needs a square --ranks");
+      require_flag(s * s == a.ranks, "--explain-plan",
+                   "with --algo combblas needs a square --ranks");
       topts.allow_1d = false;
       topts.allow_3d = false;
       topts.square_2d_only = true;
@@ -646,29 +651,23 @@ int run(const Args& a) {
     return 0;
   }
 
-  MFBC_CHECK(a.metric == "bc", "unknown metric: " + a.metric);
+  require_flag(a.metric == "bc", "--metric", "unknown metric: " + a.metric);
   const bool simulated_bc =
       (a.algo == "mfbc" || a.algo == "combblas") && a.ranks > 0;
-  MFBC_CHECK(a.faults.empty() || simulated_bc,
-             "--faults needs a simulated run "
-             "(--algo mfbc|combblas --ranks P)");
-  MFBC_CHECK(a.tune_profile.empty() || simulated_bc,
-             "--tune-profile needs a simulated run "
-             "(--algo mfbc|combblas --ranks P)");
-  MFBC_CHECK(pkind == dist::PartitionKind::kBlock || simulated_bc,
-             "--partition needs a simulated run "
-             "(--algo mfbc|combblas --ranks P)");
-  MFBC_CHECK(a.spares >= 0, "--spares expects a count >= 0");
-  MFBC_CHECK(a.spares == 0 || !a.faults.empty(),
-             "--spares needs --faults (spares only matter to recovery)");
-  MFBC_CHECK(a.checkpoint_dir.empty() || simulated_bc,
-             "--checkpoint-dir needs a simulated run "
-             "(--algo mfbc|combblas --ranks P)");
-  MFBC_CHECK(!a.resume || !a.checkpoint_dir.empty(),
-             "--resume needs --checkpoint-dir DIR");
-  MFBC_CHECK(!a.adaptive || simulated_bc,
-             "--approx eps,delta needs a simulated run "
-             "(--algo mfbc|combblas --ranks P)");
+  const std::string needs_sim =
+      "needs a simulated run (--algo mfbc|combblas --ranks P)";
+  require_flag(a.faults.empty() || simulated_bc, "--faults", needs_sim);
+  require_flag(a.tune_profile.empty() || simulated_bc, "--tune-profile",
+               needs_sim);
+  require_flag(pkind == dist::PartitionKind::kBlock || simulated_bc,
+               "--partition", needs_sim);
+  require_flag(a.spares == 0 || !a.faults.empty(), "--spares",
+               "needs --faults (spares only matter to recovery)");
+  require_flag(a.checkpoint_dir.empty() || simulated_bc, "--checkpoint-dir",
+               needs_sim);
+  require_flag(!a.resume || !a.checkpoint_dir.empty(), "--resume",
+               "needs --checkpoint-dir DIR");
+  require_flag(!a.adaptive || simulated_bc, "--approx eps,delta", needs_sim);
   // Spares can come from either flag: --spares N and the machine-profile's
   // `spare` class add up to one pool.
   const int total_spares = a.spares + profile_spares;
