@@ -29,6 +29,7 @@ using algebra::BellmanFordAction;
 using algebra::Multpath;
 using algebra::MultpathMonoid;
 using algebra::SumMonoid;
+using algebra::TropicalMinMonoid;
 using sparse::Coo;
 using sparse::Csr;
 using sparse::nnz_t;
@@ -36,6 +37,10 @@ using sparse::vid_t;
 
 struct Times {
   double operator()(double a, double b) const { return a * b; }
+};
+
+struct Extend {
+  double operator()(double a, double b) const { return a + b; }
 };
 
 Csr<double> random_csr(vid_t m, vid_t n, double density, std::uint64_t seed) {
@@ -198,6 +203,49 @@ TEST(ThreadPool, SerialPoolAccruesUtilizationOnChunkZero) {
   EXPECT_EQ(u[0].regions, 1u);
   EXPECT_GT(u[0].busy_ns, 0.0);
   EXPECT_EQ(u[0].wait_ns, 0.0);  // nothing to wait for without workers
+}
+
+TEST(SpgemmWorkspace, ReuseAcrossCallsMatchesFreshAccumulators) {
+  sparse::SpgemmWorkspace<Multpath> ws;
+  for (std::uint64_t seed : {11, 12, 13}) {
+    // Different shapes per call so the workspace both grows and shrinks
+    // its logical width while staying physically monotone.
+    const vid_t n = 16 + static_cast<vid_t>(seed % 3) * 17;
+    auto f = random_frontier(7, n, 0.3, seed);
+    auto a = random_csr(n, n, 0.25, seed + 100);
+    sparse::SpgemmWorkspace<Multpath> fresh;
+    sparse::SpgemmStats st_ws, st_fresh;
+    auto with_ws = sparse::spgemm<MultpathMonoid>(f, a, BellmanFordAction{},
+                                                  &st_ws, 0, &ws);
+    auto with_fresh = sparse::spgemm<MultpathMonoid>(
+        f, a, BellmanFordAction{}, &st_fresh, 0, &fresh);
+    EXPECT_EQ(with_ws, with_fresh);
+    EXPECT_EQ(st_ws.ops, st_fresh.ops);
+  }
+}
+
+TEST(SpgemmWorkspace, RefillsWhenMonoidChangesOverSameValueType) {
+  // SumMonoid (identity 0) and TropicalMinMonoid (identity +inf) share
+  // TC = double: switching monoids over one workspace must give what a
+  // fresh workspace gives, or stale identities poison the accumulation.
+  sparse::SpgemmWorkspace<double> ws;
+  auto a = random_csr(12, 20, 0.4, 21);
+  auto b = random_csr(20, 24, 0.4, 22);
+  auto fresh_sum = [&] {
+    sparse::SpgemmWorkspace<double> fresh;
+    return sparse::spgemm<SumMonoid>(a, b, Times{}, nullptr, 0, &fresh);
+  };
+  auto fresh_min = [&] {
+    sparse::SpgemmWorkspace<double> fresh;
+    return sparse::spgemm<TropicalMinMonoid>(a, b, Extend{}, nullptr, 0,
+                                             &fresh);
+  };
+  EXPECT_EQ(sparse::spgemm<SumMonoid>(a, b, Times{}, nullptr, 0, &ws),
+            fresh_sum());
+  EXPECT_EQ(sparse::spgemm<TropicalMinMonoid>(a, b, Extend{}, nullptr, 0, &ws),
+            fresh_min());
+  EXPECT_EQ(sparse::spgemm<SumMonoid>(a, b, Times{}, nullptr, 0, &ws),
+            fresh_sum());
 }
 
 TEST(Spgemm, CapacityHintBoundsOutputNnz) {
