@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     for (graph::vid_t s = 0; s < nb; ++s) sources.push_back(s);
 
     apps::FrontierCost maximal, dijkstra;
-    auto a = apps::sssp_batch_maximal(g, sources, &maximal);
+    auto a = apps::sssp_batch(g, sources, &maximal);
     auto b = apps::sssp_batch_dijkstra(g, sources, &dijkstra);
     if (a != b) {
       std::fprintf(stderr, "MISMATCH between strategies on %s\n", c.name);

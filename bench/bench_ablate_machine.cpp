@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     const dist::Plan plan = dist::autotune(p, stats, mm);
     sim::Sim sim(p, mm);
     Layout la{0, 4, 4, Range{0, n}, Range{0, n}, false};
-    auto da = DistMatrix<double>::scatter<SumMonoid>(sim, g.adj(), la);
+    auto da = DistMatrix<double>::scatter(sim, g.adj(), la);
     sim.ledger().reset();
     dist::spgemm<SumMonoid>(sim, plan, da, da,
                             [](double a, double b) { return a * b; }, la);

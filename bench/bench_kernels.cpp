@@ -170,8 +170,8 @@ void BM_DistSpgemmThreads(benchmark::State& state) {
   sim::Sim sim(p);
   const Layout lf{0, 1, p, Range{0, f.nrows()}, Range{0, g.n()}, false};
   const Layout la{0, 4, 4, Range{0, g.n()}, Range{0, g.n()}, false};
-  const auto df = DistMatrix<Multpath>::scatter<MultpathMonoid>(sim, f, lf);
-  const auto da = DistMatrix<double>::scatter<SumMonoid>(sim, g.adj(), la);
+  const auto df = DistMatrix<Multpath>::scatter(sim, f, lf);
+  const auto da = DistMatrix<double>::scatter(sim, g.adj(), la);
   sparse::nnz_t ops = 0;
   for (auto _ : state) {
     dist::DistSpgemmStats dst;

@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
     sim::Sim sim(p, mm);
     Layout lf{0, 1, p, Range{0, nb}, Range{0, n}, false};
     Layout la{0, 4, 4, Range{0, n}, Range{0, n}, false};
-    auto df = DistMatrix<Multpath>::scatter<MultpathMonoid>(sim, f, lf);
-    auto da = DistMatrix<double>::scatter<SumMonoid>(sim, g.adj(), la);
+    auto df = DistMatrix<Multpath>::scatter(sim, f, lf);
+    auto da = DistMatrix<double>::scatter(sim, g.adj(), la);
     sim.ledger().reset();
     dist::spgemm<MultpathMonoid>(sim, plan, df, da, BellmanFordAction{}, lf);
     if (saved != nullptr) *saved = sim.overlap_saved_seconds();

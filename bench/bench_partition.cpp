@@ -80,8 +80,8 @@ double measured_ops_imbalance(const graph::Graph& g,
   auto [pr, pc] = dist::near_square_grid(p);
   dist::Layout lf{0, 1, p, dist::Range{0, nb}, dist::Range{0, n}, false};
   dist::Layout la{0, pr, pc, dist::Range{0, n}, dist::Range{0, n}, false};
-  auto df = dist::DistMatrix<double>::scatter<SumMonoid>(sim, f, lf);
-  auto da = dist::DistMatrix<graph::Weight>::scatter<SumMonoid>(sim, gu.adj(), la);
+  auto df = dist::DistMatrix<double>::scatter(sim, f, lf);
+  auto da = dist::DistMatrix<graph::Weight>::scatter(sim, gu.adj(), la);
   dist::Plan plan{1, pr, pc, dist::Variant1D::kA, dist::Variant2D::kAB};
   dist::DistSpgemmStats dst;
   dist::spgemm<SumMonoid>(sim, plan, df, da, KeepCount{}, lf, &dst);

@@ -68,8 +68,8 @@ int main(int argc, char** argv) {
     sim::Sim sim(p, mm);
     Layout lf{0, 1, p, Range{0, nb}, Range{0, n}, false};
     Layout la{0, 4, 4, Range{0, n}, Range{0, n}, false};
-    auto df = DistMatrix<Multpath>::scatter<MultpathMonoid>(sim, f, lf);
-    auto da = DistMatrix<double>::scatter<SumMonoid>(sim, g.adj(), la);
+    auto df = DistMatrix<Multpath>::scatter(sim, f, lf);
+    auto da = DistMatrix<double>::scatter(sim, g.adj(), la);
     sim.ledger().reset();
     dist::spgemm<MultpathMonoid>(sim, plan, df, da, BellmanFordAction{}, lf);
     *cost = sim.ledger().critical();
@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
                        tune::Tuner* tuner) {
       sim::Sim sim(p, mm);
       Layout la{0, 4, 4, Range{0, n}, Range{0, n}, false};
-      auto da = DistMatrix<double>::scatter<SumMonoid>(sim, g.adj(), la);
+      auto da = DistMatrix<double>::scatter(sim, g.adj(), la);
       dist::HomeCache<double> bcache;
       std::optional<tune::ScopedObserver> obs;
       if (tuner != nullptr) obs.emplace(&tuner->observer());
@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
       for (graph::vid_t k : rows) {
         auto f = frontier_rows(k);
         Layout lf{0, 1, p, Range{0, k}, Range{0, n}, false};
-        auto df = DistMatrix<Multpath>::scatter<MultpathMonoid>(sim, f, lf);
+        auto df = DistMatrix<Multpath>::scatter(sim, f, lf);
         auto st = dist::MultiplyStats::estimated(
             k, n, n, static_cast<double>(f.nnz()),
             static_cast<double>(g.adj().nnz()),

@@ -62,8 +62,8 @@ int main(int argc, char** argv) {
   Layout lf{0, 1, 16, Range{0, 128}, Range{0, g.n()}, false};
   Layout la{0, 4, 4, Range{0, g.n()}, Range{0, g.n()}, false};
   auto fr = sparse::slice_rows(g.adj(), 0, 128);
-  auto df = dist::DistMatrix<double>::scatter<SumMonoid>(sim, fr, lf);
-  auto da = dist::DistMatrix<double>::scatter<SumMonoid>(sim, g.adj(), la);
+  auto df = dist::DistMatrix<double>::scatter(sim, fr, lf);
+  auto da = dist::DistMatrix<double>::scatter(sim, g.adj(), la);
   auto stats = dist::MultiplyStats::estimated(
       128, g.n(), g.n(), static_cast<double>(fr.nnz()),
       static_cast<double>(g.adj().nnz()), 2, 2, 2);

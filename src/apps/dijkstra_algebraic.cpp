@@ -12,12 +12,9 @@ namespace {
 
 using algebra::kInfWeight;
 using algebra::TropicalMinMonoid;
+using algebra::TropicalTimes;
 using sparse::Csr;
-using sparse::nnz_t;
-
-struct Extend {
-  Weight operator()(Weight a, Weight b) const { return a + b; }
-};
+using sparse::CsrBuilder;
 
 struct State {
   vid_t nb = 0;
@@ -33,21 +30,6 @@ struct State {
                 static_cast<std::size_t>(v)];
   }
 };
-
-Csr<Weight> frontier_from_entries(vid_t nb, vid_t n,
-                                  const std::vector<std::vector<std::pair<vid_t, Weight>>>& rows) {
-  std::vector<nnz_t> rowptr(static_cast<std::size_t>(nb) + 1, 0);
-  std::vector<vid_t> col;
-  std::vector<Weight> val;
-  for (vid_t s = 0; s < nb; ++s) {
-    for (const auto& [v, w] : rows[static_cast<std::size_t>(s)]) {
-      col.push_back(v);
-      val.push_back(w);
-    }
-    rowptr[static_cast<std::size_t>(s) + 1] = static_cast<nnz_t>(col.size());
-  }
-  return Csr<Weight>(nb, n, std::move(rowptr), std::move(col), std::move(val));
-}
 
 }  // namespace
 
@@ -71,9 +53,7 @@ std::vector<Weight> sssp_batch_dijkstra(const Graph& g,
   // that row's minimum tentative distance, and relax exactly their edges
   // with one generalized product.
   while (true) {
-    std::vector<std::vector<std::pair<vid_t, Weight>>> rows(
-        static_cast<std::size_t>(nb));
-    bool any = false;
+    CsrBuilder<Weight> settle(nb, n);
     for (vid_t s = 0; s < nb; ++s) {
       Weight lo = kInfWeight;
       for (vid_t v = 0; v < n; ++v) {
@@ -86,16 +66,15 @@ std::vector<Weight> sssp_batch_dijkstra(const Graph& g,
         if (!settled[static_cast<std::size_t>(s)][static_cast<std::size_t>(v)] &&
             st.at(s, v) == lo) {
           settled[static_cast<std::size_t>(s)][static_cast<std::size_t>(v)] = 1;
-          rows[static_cast<std::size_t>(s)].emplace_back(v, lo);
-          any = true;
+          settle.push(s, v, lo);
         }
       }
     }
-    if (!any) break;
-    Csr<Weight> frontier = frontier_from_entries(nb, n, rows);
+    if (settle.nnz() == 0) break;
+    Csr<Weight> frontier = std::move(settle).build();
     sparse::SpgemmStats sst;
-    Csr<Weight> product =
-        sparse::spgemm<TropicalMinMonoid>(frontier, g.adj(), Extend{}, &sst);
+    Csr<Weight> product = sparse::spgemm<TropicalMinMonoid>(
+        frontier, g.adj(), TropicalTimes{}, &sst);
     if (cost != nullptr) {
       cost->iterations += 1;
       cost->total_ops += sst.ops;
@@ -108,49 +87,6 @@ std::vector<Weight> sssp_batch_dijkstra(const Graph& g,
         if (vals[i] < st.at(s, cols[i])) st.at(s, cols[i]) = vals[i];
       }
     }
-  }
-  return st.dist;
-}
-
-std::vector<Weight> sssp_batch_maximal(const Graph& g,
-                                       std::span<const vid_t> sources,
-                                       FrontierCost* cost) {
-  const vid_t n = g.n();
-  const auto nb = static_cast<vid_t>(sources.size());
-  State st(nb, n);
-  std::vector<std::vector<std::pair<vid_t, Weight>>> rows(
-      static_cast<std::size_t>(nb));
-  for (vid_t s = 0; s < nb; ++s) {
-    MFBC_CHECK(sources[static_cast<std::size_t>(s)] >= 0 &&
-                   sources[static_cast<std::size_t>(s)] < n,
-               "source out of range");
-    st.at(s, sources[static_cast<std::size_t>(s)]) = 0.0;
-    rows[static_cast<std::size_t>(s)].emplace_back(
-        sources[static_cast<std::size_t>(s)], 0.0);
-  }
-  Csr<Weight> frontier = frontier_from_entries(nb, n, rows);
-
-  while (frontier.nnz() > 0) {
-    sparse::SpgemmStats sst;
-    Csr<Weight> product =
-        sparse::spgemm<TropicalMinMonoid>(frontier, g.adj(), Extend{}, &sst);
-    if (cost != nullptr) {
-      cost->iterations += 1;
-      cost->total_ops += sst.ops;
-      cost->frontier_nnz_total += frontier.nnz();
-    }
-    for (auto& r : rows) r.clear();
-    for (vid_t s = 0; s < nb; ++s) {
-      auto cols = product.row_cols(s);
-      auto vals = product.row_vals(s);
-      for (std::size_t i = 0; i < cols.size(); ++i) {
-        if (vals[i] < st.at(s, cols[i])) {
-          st.at(s, cols[i]) = vals[i];
-          rows[static_cast<std::size_t>(s)].emplace_back(cols[i], vals[i]);
-        }
-      }
-    }
-    frontier = frontier_from_entries(nb, n, rows);
   }
   return st.dist;
 }

@@ -25,22 +25,11 @@
 
 namespace mfbc::apps {
 
-struct FrontierCost {
-  int iterations = 0;          ///< bulk-synchronous multiplications
-  sparse::nnz_t total_ops = 0; ///< nonzero products over all iterations
-  sparse::nnz_t frontier_nnz_total = 0;
-};
-
 /// Batched shortest paths with settled (Dijkstra) frontiers. Results equal
-/// sssp_batch(); `cost` (optional) receives the iteration/work counters.
+/// sssp_batch(); `cost` (optional) receives the iteration/work counters, the
+/// same ones sssp_batch reports for the maximal-frontier strategy.
 std::vector<Weight> sssp_batch_dijkstra(const Graph& g,
                                         std::span<const vid_t> sources,
                                         FrontierCost* cost = nullptr);
-
-/// The same counters for the maximal-frontier (MFBF-style) strategy, so the
-/// two can be printed side by side.
-std::vector<Weight> sssp_batch_maximal(const Graph& g,
-                                       std::span<const vid_t> sources,
-                                       FrontierCost* cost = nullptr);
 
 }  // namespace mfbc::apps

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
-#include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/spgemm.hpp"
 #include "support/error.hpp"
@@ -15,8 +14,8 @@ namespace mfbc::apps {
 namespace {
 
 using graph::vid_t;
-using sparse::Coo;
 using sparse::Csr;
+using sparse::CsrBuilder;
 
 /// BFS label: hop count + predecessor vertex. The monoid keeps the fewer
 /// hops; ties prefer the smaller predecessor id (deterministic paths).
@@ -46,6 +45,8 @@ struct StepAction {
 };
 
 /// Residual capacities as an adjacency map (rebuilt into CSR per search).
+/// The map is ordered by (u, v), so the rebuild visits arcs in row-major
+/// order.
 class Residual {
  public:
   Residual(const graph::Graph& g) : n_(g.n()) {
@@ -70,20 +71,14 @@ class Residual {
   }
 
   Csr<double> to_csr() const {
-    Coo<double> coo(n_, n_);
+    CsrBuilder<double> out(n_, n_);
     for (const auto& [k, c] : cap_) {
       if (c > 0) {
-        coo.push(static_cast<vid_t>(k >> 32),
+        out.push(static_cast<vid_t>(k >> 32),
                  static_cast<vid_t>(k & 0xffffffffu), c);
       }
     }
-    struct Keep {
-      using value_type = double;
-      static value_type identity() { return 0.0; }
-      static value_type combine(value_type a, value_type) { return a; }
-      static bool is_identity(value_type) { return false; }
-    };
-    return Csr<double>::from_coo<Keep>(std::move(coo));
+    return std::move(out).build();
   }
 
  private:
@@ -93,7 +88,7 @@ class Residual {
   }
 
   vid_t n_;
-  std::unordered_map<std::uint64_t, double> cap_;
+  std::map<std::uint64_t, double> cap_;
 };
 
 }  // namespace
@@ -114,17 +109,14 @@ double max_flow(const graph::Graph& g, graph::vid_t s, graph::vid_t t,
     const Csr<double> rcsr = residual.to_csr();
     std::vector<vid_t> pred(static_cast<std::size_t>(n), -1);
     pred[static_cast<std::size_t>(s)] = s;
-    std::vector<sparse::nnz_t> rowptr{0, 1};
-    std::vector<vid_t> col{s};
-    std::vector<HopPred> val{{0.0, s}};
-    Csr<HopPred> frontier(1, n, std::move(rowptr), std::move(col),
-                          std::move(val));
+    CsrBuilder<HopPred> root(1, n);
+    root.push(0, s, {0.0, s});
+    Csr<HopPred> frontier = std::move(root).build();
     bool reached = false;
     while (frontier.nnz() > 0 && !reached) {
       auto product = sparse::spgemm<HopMonoid>(frontier, rcsr, StepAction{});
       if (stats != nullptr) ++stats->bfs_products;
-      std::vector<vid_t> ncol;
-      std::vector<HopPred> nval;
+      CsrBuilder<HopPred> next(1, n);
       auto cols = product.row_cols(0);
       auto vals = product.row_vals(0);
       for (std::size_t i = 0; i < cols.size(); ++i) {
@@ -135,13 +127,9 @@ double max_flow(const graph::Graph& g, graph::vid_t s, graph::vid_t t,
           reached = true;
           break;
         }
-        ncol.push_back(v);
-        nval.push_back({vals[i].hops, v});  // re-encode: next hop's pred is v
+        next.push(0, v, {vals[i].hops, v});  // re-encode: next hop's pred is v
       }
-      std::vector<sparse::nnz_t> nrowptr{0,
-                                         static_cast<sparse::nnz_t>(ncol.size())};
-      frontier = Csr<HopPred>(1, n, std::move(nrowptr), std::move(ncol),
-                              std::move(nval));
+      frontier = std::move(next).build();
     }
     if (!reached) break;
 

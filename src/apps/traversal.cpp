@@ -12,20 +12,17 @@ namespace {
 
 using algebra::kInfWeight;
 using algebra::TropicalMinMonoid;
+using algebra::TropicalTimes;
 using sparse::Csr;
-using sparse::nnz_t;
-
-/// Tropical "extend": append an edge to a path (the + of (min,+)).
-struct Extend {
-  Weight operator()(Weight a, Weight b) const { return a + b; }
-};
+using sparse::CsrBuilder;
 
 /// Shared maximal-frontier relaxation loop over the tropical monoid: each
 /// iteration multiplies the sparse frontier by the adjacency (or unit
-/// adjacency) matrix and keeps strictly improving entries.
+/// adjacency) matrix and keeps strictly improving entries. `cost`, when
+/// given, receives the iteration and work counters.
 std::vector<Weight> relax_batch(const Graph& g,
                                 std::span<const vid_t> sources,
-                                bool unit_weights) {
+                                bool unit_weights, FrontierCost* cost) {
   const vid_t n = g.n();
   const auto nb = static_cast<vid_t>(sources.size());
   std::vector<Weight> dist(
@@ -44,41 +41,36 @@ std::vector<Weight> relax_batch(const Graph& g,
   }
 
   // Initial frontier: the sources at distance 0.
-  std::vector<nnz_t> rowptr(static_cast<std::size_t>(nb) + 1, 0);
-  std::vector<vid_t> col(static_cast<std::size_t>(nb));
-  std::vector<Weight> val(static_cast<std::size_t>(nb), 0.0);
+  CsrBuilder<Weight> init(nb, n);
   for (vid_t s = 0; s < nb; ++s) {
-    MFBC_CHECK(sources[static_cast<std::size_t>(s)] >= 0 &&
-                   sources[static_cast<std::size_t>(s)] < n,
-               "source out of range");
-    rowptr[static_cast<std::size_t>(s) + 1] = s + 1;
-    col[static_cast<std::size_t>(s)] = sources[static_cast<std::size_t>(s)];
-    at(s, sources[static_cast<std::size_t>(s)]) = 0.0;
+    const vid_t src = sources[static_cast<std::size_t>(s)];
+    MFBC_CHECK(src >= 0 && src < n, "source out of range");
+    at(s, src) = 0.0;
+    init.push(s, src, 0.0);
   }
-  Csr<Weight> frontier(nb, n, std::move(rowptr), std::move(col),
-                       std::move(val));
+  Csr<Weight> frontier = std::move(init).build();
 
   while (frontier.nnz() > 0) {
-    Csr<Weight> product =
-        sparse::spgemm<TropicalMinMonoid>(frontier, *adj, Extend{});
-    std::vector<nnz_t> nrowptr(static_cast<std::size_t>(nb) + 1, 0);
-    std::vector<vid_t> ncol;
-    std::vector<Weight> nval;
+    sparse::SpgemmStats st;
+    Csr<Weight> product = sparse::spgemm<TropicalMinMonoid>(
+        frontier, *adj, TropicalTimes{}, &st);
+    if (cost != nullptr) {
+      cost->iterations += 1;
+      cost->total_ops += st.ops;
+      cost->frontier_nnz_total += frontier.nnz();
+    }
+    CsrBuilder<Weight> next(nb, n);
     for (vid_t s = 0; s < nb; ++s) {
       auto cols = product.row_cols(s);
       auto vals = product.row_vals(s);
       for (std::size_t i = 0; i < cols.size(); ++i) {
         if (vals[i] < at(s, cols[i])) {
           at(s, cols[i]) = vals[i];
-          ncol.push_back(cols[i]);
-          nval.push_back(vals[i]);
+          next.push(s, cols[i], vals[i]);
         }
       }
-      nrowptr[static_cast<std::size_t>(s) + 1] =
-          static_cast<nnz_t>(ncol.size());
     }
-    frontier = Csr<Weight>(nb, n, std::move(nrowptr), std::move(ncol),
-                           std::move(nval));
+    frontier = std::move(next).build();
   }
   return dist;
 }
@@ -87,17 +79,17 @@ std::vector<Weight> relax_batch(const Graph& g,
 
 std::vector<Weight> bfs_hops(const Graph& g, vid_t source) {
   const vid_t src[] = {source};
-  return relax_batch(g, src, /*unit_weights=*/true);
+  return relax_batch(g, src, /*unit_weights=*/true, nullptr);
 }
 
 std::vector<Weight> sssp(const Graph& g, vid_t source) {
   const vid_t src[] = {source};
-  return relax_batch(g, src, /*unit_weights=*/false);
+  return relax_batch(g, src, /*unit_weights=*/false, nullptr);
 }
 
-std::vector<Weight> sssp_batch(const Graph& g,
-                               std::span<const vid_t> sources) {
-  return relax_batch(g, sources, /*unit_weights=*/false);
+std::vector<Weight> sssp_batch(const Graph& g, std::span<const vid_t> sources,
+                               FrontierCost* cost) {
+  return relax_batch(g, sources, /*unit_weights=*/false, cost);
 }
 
 std::vector<vid_t> connected_component_labels(const Graph& g) {
@@ -128,33 +120,23 @@ std::vector<vid_t> connected_component_labels(const Graph& g) {
   for (vid_t v = 0; v < n; ++v) label[static_cast<std::size_t>(v)] = v;
 
   // Frontier: 1×n row of labels, initially every vertex proposing its own.
-  std::vector<nnz_t> rowptr{0, static_cast<nnz_t>(n)};
-  std::vector<vid_t> col(static_cast<std::size_t>(n));
-  std::vector<vid_t> val(static_cast<std::size_t>(n));
-  for (vid_t v = 0; v < n; ++v) {
-    col[static_cast<std::size_t>(v)] = v;
-    val[static_cast<std::size_t>(v)] = v;
-  }
-  Csr<vid_t> frontier(1, n, std::move(rowptr), std::move(col),
-                      std::move(val));
+  CsrBuilder<vid_t> init(1, n);
+  for (vid_t v = 0; v < n; ++v) init.push(0, v, v);
+  Csr<vid_t> frontier = std::move(init).build();
 
   while (frontier.nnz() > 0) {
     Csr<vid_t> product = sparse::spgemm<MinLabel>(frontier, sym, KeepLabel{});
-    std::vector<vid_t> ncol;
-    std::vector<vid_t> nval;
+    CsrBuilder<vid_t> next(1, n);
     auto cols = product.row_cols(0);
     auto vals = product.row_vals(0);
     for (std::size_t i = 0; i < cols.size(); ++i) {
       auto& cur = label[static_cast<std::size_t>(cols[i])];
       if (vals[i] < cur) {
         cur = vals[i];
-        ncol.push_back(cols[i]);
-        nval.push_back(vals[i]);
+        next.push(0, cols[i], vals[i]);
       }
     }
-    std::vector<nnz_t> nrowptr{0, static_cast<nnz_t>(ncol.size())};
-    frontier =
-        Csr<vid_t>(1, n, std::move(nrowptr), std::move(ncol), std::move(nval));
+    frontier = std::move(next).build();
   }
   return label;
 }

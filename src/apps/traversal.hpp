@@ -29,9 +29,20 @@ std::vector<Weight> bfs_hops(const Graph& g, vid_t source);
 /// (MFBF without multiplicities): weights from the graph, ∞ if unreachable.
 std::vector<Weight> sssp(const Graph& g, vid_t source);
 
-/// Batched shortest paths: row s holds distances from sources[s] (dense
+/// Work counters of a frontier loop, for comparing frontier strategies
+/// (bench_ablate_frontier).
+struct FrontierCost {
+  int iterations = 0;          ///< bulk-synchronous multiplications
+  sparse::nnz_t total_ops = 0; ///< nonzero products over all iterations
+  sparse::nnz_t frontier_nnz_total = 0;
+};
+
+/// Batched shortest paths with maximal frontiers (every entry whose distance
+/// improved relaxes next): row s holds distances from sources[s] (dense
 /// nb×n, row-major). This is the T matrix of MFBF restricted to weights.
-std::vector<Weight> sssp_batch(const Graph& g, std::span<const vid_t> sources);
+/// `cost` (optional) receives the iteration/work counters.
+std::vector<Weight> sssp_batch(const Graph& g, std::span<const vid_t> sources,
+                               FrontierCost* cost = nullptr);
 
 /// Connected components by min-label propagation over the (min, keep-label)
 /// monoid pair: returns, per vertex, the smallest vertex id in its

@@ -1,5 +1,6 @@
 #include "apps/traversal_dist.hpp"
 
+#include "dist/batch_state.hpp"
 #include "dist/ddense.hpp"
 #include "dist/spgemm_dist.hpp"
 #include "support/error.hpp"
@@ -10,23 +11,10 @@ namespace {
 
 using algebra::kInfWeight;
 using algebra::TropicalMinMonoid;
+using algebra::TropicalTimes;
 using dist::DistMatrix;
 using dist::Layout;
 using dist::Range;
-using sparse::Coo;
-using sparse::Csr;
-
-struct Extend {
-  Weight operator()(Weight a, Weight b) const { return a + b; }
-};
-
-std::pair<int, int> near_square(int p) {
-  int pr = 1;
-  for (int d = 1; d * d <= p; ++d) {
-    if (p % d == 0) pr = d;
-  }
-  return {pr, p / pr};
-}
 
 }  // namespace
 
@@ -35,11 +23,11 @@ std::vector<Weight> sssp_batch_dist(sim::Sim& sim, const Graph& g,
   const vid_t n = g.n();
   const auto nb = static_cast<vid_t>(sources.size());
   const int p = sim.nranks();
-  auto [pr, pc] = near_square(p);
+  auto [pr, pc] = dist::near_square_grid(p);
   const Layout sl{0, pr, pc, Range{0, nb}, Range{0, n}, false};
   const Layout base{0, pr, pc, Range{0, n}, Range{0, n}, false};
 
-  auto adj = DistMatrix<Weight>::scatter<TropicalMinMonoid>(sim, g.adj(), base);
+  auto adj = DistMatrix<Weight>::scatter(sim, g.adj(), base);
   dist::HomeCache<Weight> cache;
 
   // Accumulated distances live densely per rank block (the O(n·n_b/p)
@@ -48,7 +36,7 @@ std::vector<Weight> sssp_batch_dist(sim::Sim& sim, const Graph& g,
   auto at = [&](vid_t s, vid_t v) -> Weight& { return state.at(s, v); };
 
   // Initial frontier: sources at distance 0, placed on the state grid.
-  DistMatrix<Weight> frontier(nb, n, sl);
+  DistMatrix<Weight> frontier;
   {
     auto bins = dist::empty_bins<Weight>(sl, n);
     for (vid_t s = 0; s < nb; ++s) {
@@ -59,7 +47,7 @@ std::vector<Weight> sssp_batch_dist(sim::Sim& sim, const Graph& g,
       bins[static_cast<std::size_t>(bi * pc + bj)].push(
           s - sl.block_rows(bi, bj).lo, src, 0.0);
     }
-    frontier = dist::from_blocks<TropicalMinMonoid>(nb, n, sl, std::move(bins));
+    frontier = dist::from_blocks(nb, n, sl, std::move(bins));
   }
 
   std::vector<int> all_ranks(static_cast<std::size_t>(p));
@@ -71,13 +59,13 @@ std::vector<Weight> sssp_batch_dist(sim::Sim& sim, const Graph& g,
         static_cast<double>(adj.nnz()), 2, 2, 2);
     const dist::Plan plan = dist::autotune(p, stats, sim.model());
     DistMatrix<Weight> product = dist::spgemm<TropicalMinMonoid>(
-        sim, plan, frontier, adj, Extend{}, sl, nullptr, &cache);
-    DistMatrix<Weight> next(nb, n, sl);
+        sim, plan, frontier, adj, TropicalTimes{}, sl, nullptr, &cache);
+    auto bins = dist::empty_bins<Weight>(sl, n);
     for (int i = 0; i < pr; ++i) {
       for (int j = 0; j < pc; ++j) {
         const Range rows = sl.block_rows(i, j);
         const auto& blk = product.block(i, j);
-        Coo<Weight> bin(rows.size(), n);
+        auto& bin = bins[static_cast<std::size_t>(i * pc + j)];
         for (vid_t lr = 0; lr < blk.nrows(); ++lr) {
           auto cols = blk.row_cols(lr);
           auto vals = blk.row_vals(lr);
@@ -90,11 +78,9 @@ std::vector<Weight> sssp_batch_dist(sim::Sim& sim, const Graph& g,
         }
         sim.charge_compute(sl.rank_at(i, j),
                            static_cast<double>(blk.nnz()));
-        next.block(i, j) =
-            Csr<Weight>::from_coo<TropicalMinMonoid>(std::move(bin));
       }
     }
-    frontier = std::move(next);
+    frontier = dist::from_blocks(nb, n, sl, std::move(bins));
     sim.charge_allreduce(all_ranks, 1.0);
   }
   // Final answer gathered to the caller.

@@ -18,17 +18,12 @@ namespace mfbc::baseline {
 namespace {
 
 using algebra::SumMonoid;
-using algebra::TropicalMinMonoid;
 using dist::DistMatrix;
 using dist::Layout;
 using dist::Range;
 using graph::vid_t;
-using sparse::Coo;
 using sparse::Csr;
 using sparse::nnz_t;
-
-template <typename T>
-using Keep = dist::detail::KeepFirst<T>;
 
 /// Count-semiring bridge: extending a path count along an (unweighted) edge
 /// keeps the count; the SumMonoid ⊕ then adds counts over predecessors.
@@ -91,8 +86,8 @@ CombBlasBc::CombBlasBc(sim::Sim& sim, const graph::Graph& g,
   // hysteresis seed, and cache entries all carry the partition dimension.
   if (!part_.identity()) plan_.dist = dist::Dist::kBalanced;
   base_ = Layout{0, s, s, Range{0, g_.n()}, Range{0, g_.n()}, false};
-  adj_ = DistMatrix<Weight>::scatter<TropicalMinMonoid>(sim, g_.adj(), base_);
-  adj_t_ = DistMatrix<Weight>::scatter<TropicalMinMonoid>(
+  adj_ = DistMatrix<Weight>::scatter(sim, g_.adj(), base_);
+  adj_t_ = DistMatrix<Weight>::scatter(
       sim, sparse::transpose(g_.adj()), base_);
   // Long-lived adjacency residency, for memory-pressure-aware planning
   // (mirrors DistMfbc; the tuner subtracts the high-water mark below), plus
@@ -272,7 +267,7 @@ void CombBlasBc::run_batch(const CombBlasOptions& opts,
     sim_.charge_alltoall(all_ranks,
                          static_cast<double>(batch.nb()) *
                              sim::sparse_entry_words<double>());
-    frontier = dist::from_blocks<Keep<double>>(batch.nb(), n, sl, std::move(bins));
+    frontier = dist::from_blocks(batch.nb(), n, sl, std::move(bins));
   }
 
   vid_t level = 0;
@@ -327,7 +322,7 @@ void CombBlasBc::run_batch(const CombBlasOptions& opts,
                             static_cast<double>(reached.block(i, j).nnz()));
       }
     }
-    frontier = dist::from_blocks<Keep<double>>(batch.nb(), n, sl, std::move(bins));
+    frontier = dist::from_blocks(batch.nb(), n, sl, std::move(bins));
     if (frontier.nnz() > 0) max_level = level;
     sim_.charge_allreduce(all_ranks, 1.0);
   }
@@ -377,7 +372,8 @@ void CombBlasBc::run_batch(const CombBlasOptions& opts,
                                 static_cast<double>(blk.cols.size()));
       }
     }
-    DistMatrix<double> w = dist::from_blocks<Keep<double>>(batch.nb(), n, sl, std::move(bins));
+    DistMatrix<double> w =
+        dist::from_blocks(batch.nb(), n, sl, std::move(bins));
     telemetry::observe("baseline.backward.frontier_nnz",
                        static_cast<double>(w.nnz()));
     const dist::Plan plan =

@@ -8,10 +8,17 @@
 //
 // All collective data movement (scatter, gather, redistribution) goes
 // through sim::Sim so that words and messages are charged to the
-// critical-path ledger exactly where the bytes move.
+// critical-path ledger exactly where the bytes move. The three share one
+// assembly kernel, detail::assemble: a target block counts its entries in
+// the source blocks that overlap it, then pulls them row by row, in
+// ascending column order, into a sparse::CsrBuilder — no COO bins, no sort,
+// no merging monoid. Blocks hold distinct entries, so moving them never has
+// anything to combine.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -24,9 +31,84 @@
 
 namespace mfbc::dist {
 
-using sparse::Coo;
 using sparse::Csr;
+using sparse::CsrBuilder;
 using sparse::nnz_t;
+
+namespace detail {
+
+/// One source block of a data movement: block rows start at global row
+/// `rows.lo`, its entries lie in global columns `cols`, and `rank` holds it.
+template <typename T>
+struct Piece {
+  const Csr<T>* blk;
+  Range rows;
+  Range cols;
+  int rank;
+};
+
+inline bool overlaps(Range a, Range b) {
+  return std::max(a.lo, b.lo) < std::min(a.hi, b.hi);
+}
+
+/// Push the entries of `pieces` inside rows × cols into `out` (at row
+/// gr - row0): count each piece's share first, so `out` allocates once, then
+/// place them row by row. `pieces` must hold disjoint regions and be sorted
+/// by ascending column range, so each row arrives in column order. When
+/// `sent` is given, it receives (rank, entries) for every piece held by a
+/// rank other than `dst_rank` that contributed entries.
+template <typename T>
+void assemble(const std::vector<Piece<T>>& pieces, Range rows, Range cols,
+              vid_t row0, CsrBuilder<T>& out,
+              std::vector<std::pair<int, nnz_t>>* sent = nullptr,
+              int dst_rank = -1) {
+  std::vector<const Piece<T>*> hits;
+  for (const Piece<T>& pc : pieces) {
+    if (overlaps(pc.rows, rows) && overlaps(pc.cols, cols)) hits.push_back(&pc);
+  }
+  // The [lo, hi) positions of global row gr of `pc` that lie inside cols.
+  auto slice = [&](const Piece<T>& pc, vid_t gr) {
+    auto c = pc.blk->row_cols(gr - pc.rows.lo);
+    std::size_t lo = 0, hi = c.size();
+    if (pc.cols.lo < cols.lo) {
+      lo = static_cast<std::size_t>(
+          std::lower_bound(c.begin(), c.end(), cols.lo) - c.begin());
+    }
+    if (pc.cols.hi > cols.hi) {
+      hi = static_cast<std::size_t>(
+          std::lower_bound(c.begin(), c.end(), cols.hi) - c.begin());
+    }
+    return std::pair{lo, hi};
+  };
+  std::vector<nnz_t> taken(hits.size(), 0);
+  for (std::size_t h = 0; h < hits.size(); ++h) {
+    const vid_t lo = std::max(rows.lo, hits[h]->rows.lo);
+    const vid_t hi = std::min(rows.hi, hits[h]->rows.hi);
+    for (vid_t gr = lo; gr < hi; ++gr) {
+      auto [a, b] = slice(*hits[h], gr);
+      taken[h] += static_cast<nnz_t>(b - a);
+    }
+  }
+  out.reserve(out.nnz() +
+              std::accumulate(taken.begin(), taken.end(), nnz_t{0}));
+  for (vid_t gr = rows.lo; gr < rows.hi; ++gr) {
+    for (const Piece<T>* pc : hits) {
+      if (!pc->rows.contains(gr)) continue;
+      auto [a, b] = slice(*pc, gr);
+      auto c = pc->blk->row_cols(gr - pc->rows.lo);
+      auto v = pc->blk->row_vals(gr - pc->rows.lo);
+      for (std::size_t x = a; x < b; ++x) out.push(gr - row0, c[x], v[x]);
+    }
+  }
+  if (sent == nullptr) return;
+  for (std::size_t h = 0; h < hits.size(); ++h) {
+    if (hits[h]->rank != dst_rank && taken[h] > 0) {
+      sent->emplace_back(hits[h]->rank, taken[h]);
+    }
+  }
+}
+
+}  // namespace detail
 
 template <typename T>
 class DistMatrix {
@@ -48,59 +130,23 @@ class DistMatrix {
   }
 
   /// Distribute a sequentially held matrix from a root rank (CTF's bulk
-  /// synchronous Tensor::write). Charges a scatter whose payload is the
-  /// root's full matrix (§5.1: max words owned at start or end).
-  template <algebra::Monoid M>
+  /// synchronous Tensor::write). Entries outside the layout region are not
+  /// represented. Charges a scatter whose payload is the root's full matrix
+  /// (§5.1: max words owned at start or end).
   static DistMatrix scatter(sim::Sim& sim, const Csr<T>& global,
                             Layout layout) {
     DistMatrix out(global.nrows(), global.ncols(), layout);
-    std::vector<Coo<T>> parts(static_cast<std::size_t>(layout.nranks()));
-    for (int i = 0; i < layout.pr; ++i) {
-      for (int j = 0; j < layout.pc; ++j) {
-        auto& part = parts[static_cast<std::size_t>(i * layout.pc + j)];
-        part = Coo<T>(layout.block_rows(i, j).size(), global.ncols());
-      }
-    }
-    // Bin the entries per owner block. A row stripe's entries land only in
-    // that stripe's bins, so the stripes pack in parallel without sharing a
-    // bin; within each bin the (row asc, col asc) push order matches the
-    // serial pass exactly — bit-identical at every thread count.
-    const int stripes = layout.row_splits();
-    const bool serial = support::ThreadPool::in_parallel_region() ||
-                        support::num_threads() <= 1 || stripes <= 1 ||
-                        static_cast<std::size_t>(global.nnz()) < (1u << 15);
-    auto pack_stripe = [&](std::size_t s) {
-      const Range sr = split_range(layout.rows, stripes, static_cast<int>(s));
-      for (vid_t r = sr.lo; r < sr.hi; ++r) {
-        auto cols = global.row_cols(r);
-        auto vals = global.row_vals(r);
-        for (std::size_t x = 0; x < cols.size(); ++x) {
-          if (!layout.cols.contains(cols[x])) {
-            continue;  // entries outside the layout region are not represented
-          }
-          auto [bi, bj] = layout.owner(r, cols[x]);
-          const Range rr = layout.block_rows(bi, bj);
-          parts[static_cast<std::size_t>(bi * layout.pc + bj)].push(
-              r - rr.lo, cols[x], vals[x]);
-        }
-      }
-    };
-    if (serial) {
-      for (std::size_t s = 0; s < static_cast<std::size_t>(stripes); ++s) {
-        pack_stripe(s);
-      }
-    } else {
-      support::parallel_for(static_cast<std::size_t>(stripes), pack_stripe);
-    }
-    auto build_block = [&](std::size_t b) {
-      out.blocks_[b] =
-          Csr<T>::template from_coo<M>(std::move(parts[b]));
-    };
-    if (serial) {
-      for (std::size_t b = 0; b < parts.size(); ++b) build_block(b);
-    } else {
-      support::parallel_for(parts.size(), build_block);
-    }
+    const std::vector<detail::Piece<T>> root{
+        {&global, Range{0, global.nrows()}, Range{0, global.ncols()}, -1}};
+    // Blocks are independent, so they assemble in parallel.
+    support::parallel_for(out.blocks_.size(), [&](std::size_t b) {
+      const int i = static_cast<int>(b) / layout.pc;
+      const int j = static_cast<int>(b) % layout.pc;
+      const Range rr = layout.block_rows(i, j);
+      CsrBuilder<T> blk(rr.size(), global.ncols());
+      detail::assemble(root, rr, layout.block_cols(i, j), rr.lo, blk);
+      out.blocks_[b] = std::move(blk).build();
+    });
     sim.charge_scatter(layout.ranks(), static_cast<double>(global.nnz()) *
                                            sim::sparse_entry_words<T>());
     return out;
@@ -109,49 +155,28 @@ class DistMatrix {
   /// Collect the matrix onto one rank (CTF's Tensor::read). Charges a gather
   /// with the full matrix as payload.
   Csr<T> gather(sim::Sim& sim) const {
-    Coo<T> coo(nrows_, ncols_);
-    // Unpack the blocks into one COO in block-major order. Per-block prefix
-    // offsets pre-size the entry vector, so blocks fill disjoint slices in
-    // parallel and land exactly where the serial append would put them.
-    std::vector<std::size_t> offset(blocks_.size() + 1, 0);
-    for (std::size_t b = 0; b < blocks_.size(); ++b) {
-      offset[b + 1] = offset[b] + static_cast<std::size_t>(blocks_[b].nnz());
-    }
-    coo.entries().resize(offset.back());
-    auto fill_block = [&](std::size_t t) {
-      const int i = static_cast<int>(t) / layout_.pc;
-      const int j = static_cast<int>(t) % layout_.pc;
-      const Range rr = layout_.block_rows(i, j);
-      const auto& b = block(i, j);
-      std::size_t at = offset[t];
-      for (vid_t r = 0; r < b.nrows(); ++r) {
-        auto cols = b.row_cols(r);
-        auto vals = b.row_vals(r);
-        for (std::size_t x = 0; x < cols.size(); ++x) {
-          coo.entries()[at++] = {rr.lo + r, cols[x], vals[x]};
-        }
-      }
-    };
-    if (support::ThreadPool::in_parallel_region() ||
-        support::num_threads() <= 1 || blocks_.size() <= 1 ||
-        offset.back() < (1u << 15)) {
-      for (std::size_t t = 0; t < blocks_.size(); ++t) fill_block(t);
-    } else {
-      support::parallel_for(blocks_.size(), fill_block);
-    }
+    CsrBuilder<T> out(nrows_, ncols_);
+    detail::assemble(pieces(), layout_.rows, layout_.cols, 0, out);
     sim.charge_gather(layout_.ranks(),
                       static_cast<double>(nnz()) * sim::sparse_entry_words<T>());
-    // Blocks tile the region disjointly, so no monoid merging is needed; a
-    // trivial "keep first" monoid suffices for the rebuild.
-    struct Keep {
-      using value_type = T;
-      static value_type identity() { return value_type{}; }
-      static value_type combine(const value_type& a, const value_type&) {
-        return a;
+    return std::move(out).build();
+  }
+
+  /// This matrix's blocks as data-movement sources, sorted by ascending
+  /// column range.
+  std::vector<detail::Piece<T>> pieces() const {
+    std::vector<detail::Piece<T>> out;
+    out.reserve(blocks_.size());
+    for (int i = 0; i < layout_.pr; ++i) {
+      for (int j = 0; j < layout_.pc; ++j) {
+        out.push_back({&block(i, j), layout_.block_rows(i, j),
+                       layout_.block_cols(i, j), layout_.rank_at(i, j)});
       }
-      static bool is_identity(const value_type&) { return false; }
-    };
-    return Csr<T>::template from_coo<Keep>(std::move(coo));
+    }
+    std::stable_sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      return a.cols.lo < b.cols.lo;
+    });
+    return out;
   }
 
   vid_t nrows() const { return nrows_; }
@@ -189,28 +214,13 @@ class DistMatrix {
   std::vector<Csr<T>> blocks_;
 };
 
-/// Assemble a DistMatrix from per-block COO bins (one per grid position, in
-/// row-major grid order). Purely local: used by the frontier algorithms to
-/// build each iteration's frontier from their rank-local state updates.
-template <algebra::Monoid M, typename T>
-DistMatrix<T> from_blocks(vid_t nrows, vid_t ncols, const Layout& l,
-                          std::vector<Coo<T>> blocks) {
-  MFBC_CHECK(blocks.size() == static_cast<std::size_t>(l.nranks()),
-             "one COO bin per grid position required");
-  DistMatrix<T> out(nrows, ncols, l);
-  for (int i = 0; i < l.pr; ++i) {
-    for (int j = 0; j < l.pc; ++j) {
-      out.block(i, j) = Csr<T>::template from_coo<M>(
-          std::move(blocks[static_cast<std::size_t>(i * l.pc + j)]));
-    }
-  }
-  return out;
-}
-
-/// Empty per-block COO bins matching a layout (the counterpart builder).
+/// One CsrBuilder per grid position of `l` (row-major grid order), sized to
+/// the position's block: the frontier algorithms push each iteration's
+/// rank-local state updates into them, in row order, and hand them to
+/// from_blocks.
 template <typename T>
-std::vector<Coo<T>> empty_bins(const Layout& l, vid_t ncols) {
-  std::vector<Coo<T>> bins;
+std::vector<CsrBuilder<T>> empty_bins(const Layout& l, vid_t ncols) {
+  std::vector<CsrBuilder<T>> bins;
   bins.reserve(static_cast<std::size_t>(l.nranks()));
   for (int i = 0; i < l.pr; ++i) {
     for (int j = 0; j < l.pc; ++j) {
@@ -220,71 +230,123 @@ std::vector<Coo<T>> empty_bins(const Layout& l, vid_t ncols) {
   return bins;
 }
 
-/// Move a matrix (or a row/col sub-region of it) onto a new layout with one
-/// personalized all-to-all: max per-rank send/receive volume is charged
-/// (§6.2's sparse-to-sparse redistribution kernel).
-template <algebra::Monoid M, typename T>
-DistMatrix<T> redistribute(sim::Sim& sim, const DistMatrix<T>& src,
-                           Layout target) {
-  if (src.layout() == target) return src;  // already in place: free
-  DistMatrix<T> out(src.nrows(), src.ncols(), target);
-  const Layout& sl = src.layout();
-  std::vector<Coo<T>> parts;
-  parts.reserve(static_cast<std::size_t>(target.nranks()));
-  for (int i = 0; i < target.pr; ++i) {
-    for (int j = 0; j < target.pc; ++j) {
-      parts.emplace_back(target.block_rows(i, j).size(), src.ncols());
-    }
-  }
-  std::vector<double> send_words(static_cast<std::size_t>(sim.nranks()), 0.0);
-  for (int i = 0; i < sl.pr; ++i) {
-    for (int j = 0; j < sl.pc; ++j) {
-      const Range rr = sl.block_rows(i, j);
-      const auto& b = src.block(i, j);
-      const int src_rank = sl.rank_at(i, j);
-      for (vid_t r = 0; r < b.nrows(); ++r) {
-        const vid_t gr = rr.lo + r;
-        if (!target.rows.contains(gr)) continue;
-        auto cols = b.row_cols(r);
-        auto vals = b.row_vals(r);
-        for (std::size_t x = 0; x < cols.size(); ++x) {
-          if (!target.cols.contains(cols[x])) continue;
-          auto [ti, tj] = target.owner(gr, cols[x]);
-          const Range trr = target.block_rows(ti, tj);
-          parts[static_cast<std::size_t>(ti * target.pc + tj)].push(
-              gr - trr.lo, cols[x], vals[x]);
-          if (target.rank_at(ti, tj) != src_rank) {
-            send_words[static_cast<std::size_t>(src_rank)] +=
-                sim::sparse_entry_words<T>();
-          }
-        }
-      }
-    }
-  }
-  double max_words = 0;
-  for (int b = 0; b < target.nranks(); ++b) {
-    // Receive volume per target rank; entries it already held are not
-    // separable here, so this slightly over-counts receives — conservative.
-    max_words = std::max(
-        max_words, static_cast<double>(parts[static_cast<std::size_t>(b)].nnz()) *
-                       sim::sparse_entry_words<T>());
-  }
-  for (double w : send_words) max_words = std::max(max_words, w);
-
-  // The collective spans both old and new rank sets.
-  std::vector<int> group = sl.ranks();
-  for (int r : target.ranks()) group.push_back(r);
-  std::sort(group.begin(), group.end());
-  group.erase(std::unique(group.begin(), group.end()), group.end());
-  sim.charge_alltoall(group, max_words);
-
-  for (int i = 0; i < target.pr; ++i) {
-    for (int j = 0; j < target.pc; ++j) {
-      out.block(i, j) = Csr<T>::template from_coo<M>(
-          std::move(parts[static_cast<std::size_t>(i * target.pc + j)]));
+/// Assemble a DistMatrix from per-block builders (one per grid position, in
+/// row-major grid order). Purely local.
+template <typename T>
+DistMatrix<T> from_blocks(vid_t nrows, vid_t ncols, const Layout& l,
+                          std::vector<CsrBuilder<T>> bins) {
+  MFBC_CHECK(bins.size() == static_cast<std::size_t>(l.nranks()),
+             "one builder per grid position required");
+  DistMatrix<T> out(nrows, ncols, l);
+  for (int i = 0; i < l.pr; ++i) {
+    for (int j = 0; j < l.pc; ++j) {
+      out.block(i, j) =
+          std::move(bins[static_cast<std::size_t>(i * l.pc + j)]).build();
     }
   }
   return out;
+}
+
+/// Move the entries of `sources` onto the `targets` layouts with one
+/// personalized all-to-all (§6.2's sparse-to-sparse redistribution kernel).
+///
+/// The sources must share one global shape and tile disjoint regions, as
+/// must the targets; an entry outside every target is dropped. Entries are
+/// moved, never combined. The all-to-all spans the union of source and
+/// target ranks and is charged the max over ranks of the words sent
+/// (entries leaving their rank) and received (every entry of a target
+/// block, counting ones it already held — conservative). A single source
+/// already on a single target is returned as is, free.
+template <typename T>
+std::vector<DistMatrix<T>> redistribute(
+    sim::Sim& sim, const std::vector<const DistMatrix<T>*>& sources,
+    const std::vector<Layout>& targets) {
+  MFBC_CHECK(!sources.empty(), "redistribute needs a source");
+  const vid_t nrows = sources[0]->nrows();
+  const vid_t ncols = sources[0]->ncols();
+  auto disjoint = [](const Layout& a, const Layout& b) {
+    return !detail::overlaps(a.rows, b.rows) ||
+           !detail::overlaps(a.cols, b.cols);
+  };
+  std::vector<detail::Piece<T>> pieces;
+  std::vector<int> group;
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    const DistMatrix<T>& src = *sources[s];
+    MFBC_CHECK(src.nrows() == nrows && src.ncols() == ncols,
+               "redistribute sources must share one shape");
+    for (std::size_t u = 0; u < s; ++u) {
+      MFBC_CHECK(disjoint(src.layout(), sources[u]->layout()),
+                 "redistribute sources must tile disjoint regions");
+    }
+    for (const auto& pc : src.pieces()) pieces.push_back(pc);
+    for (int r : src.layout().ranks()) group.push_back(r);
+  }
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    for (std::size_t u = 0; u < t; ++u) {
+      MFBC_CHECK(disjoint(targets[t], targets[u]),
+                 "redistribute targets must tile disjoint regions");
+    }
+    for (int r : targets[t].ranks()) group.push_back(r);
+  }
+  if (sources.size() == 1 && targets.size() == 1 &&
+      sources[0]->layout() == targets[0]) {
+    return {*sources[0]};  // already in place: free
+  }
+  std::stable_sort(pieces.begin(), pieces.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.cols.lo < b.cols.lo;
+                   });
+
+  // Every target block assembles independently; the per-block send counts
+  // are summed afterwards in block order.
+  struct Slot {
+    std::size_t target;
+    int i, j;
+  };
+  std::vector<Slot> slots;
+  std::vector<DistMatrix<T>> out;
+  out.reserve(targets.size());
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    out.emplace_back(nrows, ncols, targets[t]);
+    for (int i = 0; i < targets[t].pr; ++i) {
+      for (int j = 0; j < targets[t].pc; ++j) slots.push_back({t, i, j});
+    }
+  }
+  std::vector<std::vector<std::pair<int, nnz_t>>> sent(slots.size());
+  support::parallel_for(slots.size(), [&](std::size_t k) {
+    const Slot& sl = slots[k];
+    const Layout& tl = targets[sl.target];
+    const Range rr = tl.block_rows(sl.i, sl.j);
+    CsrBuilder<T> blk(rr.size(), ncols);
+    detail::assemble(pieces, rr, tl.block_cols(sl.i, sl.j), rr.lo, blk,
+                     &sent[k], tl.rank_at(sl.i, sl.j));
+    out[sl.target].block(sl.i, sl.j) = std::move(blk).build();
+  });
+
+  const double w = sim::sparse_entry_words<T>();
+  double max_words = 0;
+  std::vector<nnz_t> send(static_cast<std::size_t>(sim.nranks()), 0);
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    const Slot& sl = slots[k];
+    max_words = std::max(
+        max_words,
+        static_cast<double>(out[sl.target].block(sl.i, sl.j).nnz()) * w);
+    for (auto [r, n] : sent[k]) send[static_cast<std::size_t>(r)] += n;
+  }
+  for (nnz_t n : send) {
+    max_words = std::max(max_words, static_cast<double>(n) * w);
+  }
+  std::sort(group.begin(), group.end());
+  group.erase(std::unique(group.begin(), group.end()), group.end());
+  sim.charge_alltoall(group, max_words);
+  return out;
+}
+
+/// One source onto one target layout (see above).
+template <typename T>
+DistMatrix<T> redistribute(sim::Sim& sim, const DistMatrix<T>& src,
+                           const Layout& target) {
+  return std::move(redistribute<T>(sim, {&src}, {target}).front());
 }
 
 /// Elementwise a ⊕ b for identically laid out matrices: purely local.

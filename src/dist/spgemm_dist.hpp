@@ -13,11 +13,19 @@
 // live in cost_model.hpp and are used only for *plan selection* (§6.2), as
 // in CTF.
 //
+// Operand mapping and result delivery both go through dist::redistribute,
+// the one sparse all-to-all: operands are split onto the layers' homes (or
+// placed on layer 0 and broadcast), and the layers' results are gathered
+// onto `out_layout`. An operand or result already on its home is used in
+// place — by pointer or by move, never copied — and a HomeCache hands out
+// references to the copies it holds.
+//
 // All variants compute bit-identical results to sparse::spgemm for the
 // commutative monoids used in this library (verified by the test suite).
 #pragma once
 
 #include <algorithm>
+#include <deque>
 #include <numeric>
 #include <optional>
 #include <vector>
@@ -146,16 +154,6 @@ void abft_verify(sim::Sim& sim, const DistMatrix<T>& c) {
 
 namespace detail {
 
-/// "Keep first" pseudo-monoid for rebuilding blocks whose entries are known
-/// to be duplicate-free (redistribution never merges).
-template <typename T>
-struct KeepFirst {
-  using value_type = T;
-  static value_type identity() { return value_type{}; }
-  static value_type combine(const value_type& a, const value_type&) { return a; }
-  static bool is_identity(const value_type&) { return false; }
-};
-
 /// Home layouts of the three 2D variants (§5.2.2) for a layer grid at
 /// `rank0` with shape p2×p3 and operand regions Rm×Rk (A), Rk×Rn (B).
 struct Homes {
@@ -186,157 +184,21 @@ inline Homes homes_2d(Variant2D v2, int rank0, int p2, int p3, Range rm,
   return h;
 }
 
-/// Move entries from several source distributions into one target layout
-/// with a single all-to-all charge. Sources must tile disjoint regions.
-template <algebra::Monoid M, typename T>
-DistMatrix<T> merge_to(sim::Sim& sim, vid_t nrows, vid_t ncols,
-                       const std::vector<DistMatrix<T>>& parts,
-                       Layout target) {
-  // Fast path: a single part already on the target layout.
-  if (parts.size() == 1 && parts[0].layout() == target) return parts[0];
-  DistMatrix<T> out(nrows, ncols, target);
-  std::vector<Coo<T>> bins;
-  bins.reserve(static_cast<std::size_t>(target.nranks()));
-  for (int i = 0; i < target.pr; ++i) {
-    for (int j = 0; j < target.pc; ++j) {
-      bins.emplace_back(target.block_rows(i, j).size(), ncols);
-    }
-  }
-  std::vector<double> send_words(static_cast<std::size_t>(sim.nranks()), 0.0);
-  std::vector<int> group;
-  for (const auto& part : parts) {
-    const Layout& sl = part.layout();
-    for (int r : sl.ranks()) group.push_back(r);
-    for (int i = 0; i < sl.pr; ++i) {
-      for (int j = 0; j < sl.pc; ++j) {
-        const Range rr = sl.block_rows(i, j);
-        const auto& blk = part.block(i, j);
-        const int src_rank = sl.rank_at(i, j);
-        for (vid_t r = 0; r < blk.nrows(); ++r) {
-          const vid_t gr = rr.lo + r;
-          if (!target.rows.contains(gr)) continue;
-          auto cols = blk.row_cols(r);
-          auto vals = blk.row_vals(r);
-          for (std::size_t x = 0; x < cols.size(); ++x) {
-            if (!target.cols.contains(cols[x])) continue;
-            auto [ti, tj] = target.owner(gr, cols[x]);
-            bins[static_cast<std::size_t>(ti * target.pc + tj)].push(
-                gr - target.block_rows(ti, tj).lo, cols[x], vals[x]);
-            if (target.rank_at(ti, tj) != src_rank) {
-              send_words[static_cast<std::size_t>(src_rank)] +=
-                  sim::sparse_entry_words<T>();
-            }
-          }
-        }
-      }
-    }
-  }
-  double max_words = 0;
-  for (std::size_t b = 0; b < bins.size(); ++b) {
-    max_words = std::max(max_words, static_cast<double>(bins[b].nnz()) *
-                                        sim::sparse_entry_words<T>());
-  }
-  for (double w : send_words) max_words = std::max(max_words, w);
-  for (int r : target.ranks()) group.push_back(r);
-  std::sort(group.begin(), group.end());
-  group.erase(std::unique(group.begin(), group.end()), group.end());
-  if (max_words > 0 || group.size() > 1) sim.charge_alltoall(group, max_words);
-  for (int i = 0; i < target.pr; ++i) {
-    for (int j = 0; j < target.pc; ++j) {
-      out.block(i, j) = Csr<T>::template from_coo<M>(
-          std::move(bins[static_cast<std::size_t>(i * target.pc + j)]));
-    }
-  }
-  return out;
-}
-
-/// Split one distribution into several target layouts (disjoint regions)
-/// with a single all-to-all charge.
-template <algebra::Monoid M, typename T>
-std::vector<DistMatrix<T>> split_to(sim::Sim& sim, const DistMatrix<T>& src,
-                                    const std::vector<Layout>& targets) {
-  std::vector<DistMatrix<T>> out;
-  out.reserve(targets.size());
-  struct Bin {
-    std::vector<Coo<T>> blocks;
-  };
-  std::vector<Bin> bins(targets.size());
-  for (std::size_t t = 0; t < targets.size(); ++t) {
-    const Layout& tl = targets[t];
-    bins[t].blocks.reserve(static_cast<std::size_t>(tl.nranks()));
-    for (int i = 0; i < tl.pr; ++i) {
-      for (int j = 0; j < tl.pc; ++j) {
-        bins[t].blocks.emplace_back(tl.block_rows(i, j).size(), src.ncols());
-      }
-    }
-  }
-  std::vector<double> send_words(static_cast<std::size_t>(sim.nranks()), 0.0);
-  const Layout& sl = src.layout();
-  for (int i = 0; i < sl.pr; ++i) {
-    for (int j = 0; j < sl.pc; ++j) {
-      const Range rr = sl.block_rows(i, j);
-      const auto& blk = src.block(i, j);
-      const int src_rank = sl.rank_at(i, j);
-      for (vid_t r = 0; r < blk.nrows(); ++r) {
-        const vid_t gr = rr.lo + r;
-        auto cols = blk.row_cols(r);
-        auto vals = blk.row_vals(r);
-        for (std::size_t x = 0; x < cols.size(); ++x) {
-          for (std::size_t t = 0; t < targets.size(); ++t) {
-            const Layout& tl = targets[t];
-            if (!tl.rows.contains(gr) || !tl.cols.contains(cols[x])) continue;
-            auto [ti, tj] = tl.owner(gr, cols[x]);
-            bins[t].blocks[static_cast<std::size_t>(ti * tl.pc + tj)].push(
-                gr - tl.block_rows(ti, tj).lo, cols[x], vals[x]);
-            if (tl.rank_at(ti, tj) != src_rank) {
-              send_words[static_cast<std::size_t>(src_rank)] +=
-                  sim::sparse_entry_words<T>();
-            }
-            break;  // regions are disjoint: first match wins
-          }
-        }
-      }
-    }
-  }
-  std::vector<int> group = sl.ranks();
-  double max_words = 0;
-  for (double w : send_words) max_words = std::max(max_words, w);
-  for (std::size_t t = 0; t < targets.size(); ++t) {
-    const Layout& tl = targets[t];
-    for (int r : tl.ranks()) group.push_back(r);
-    for (const auto& bin : bins[t].blocks) {
-      max_words = std::max(max_words, static_cast<double>(bin.nnz()) *
-                                          sim::sparse_entry_words<T>());
-    }
-  }
-  std::sort(group.begin(), group.end());
-  group.erase(std::unique(group.begin(), group.end()), group.end());
-  if (group.size() > 1) sim.charge_alltoall(group, max_words);
-  for (std::size_t t = 0; t < targets.size(); ++t) {
-    const Layout& tl = targets[t];
-    DistMatrix<T> dm(src.nrows(), src.ncols(), tl);
-    for (int i = 0; i < tl.pr; ++i) {
-      for (int j = 0; j < tl.pc; ++j) {
-        dm.block(i, j) = Csr<T>::template from_coo<M>(std::move(
-            bins[t].blocks[static_cast<std::size_t>(i * tl.pc + j)]));
-      }
-    }
-    out.push_back(std::move(dm));
-  }
-  return out;
-}
-
-/// Replicate a layer-resident matrix onto sibling layers: one broadcast per
-/// grid position across the p1 same-position ranks (§5.2.3's 1D replication
-/// of X given from a p2×p3 distribution).
+/// Replicate a layer-resident matrix onto its sibling layers: one broadcast
+/// per grid position across the p1 same-position ranks (§5.2.3's 1D
+/// replication of X given from a p2×p3 distribution). `layouts[0]` is
+/// `layer0`'s own layout; the copies for layouts[1..] are returned.
 template <typename T>
 std::vector<DistMatrix<T>> replicate_layers(sim::Sim& sim,
                                             const DistMatrix<T>& layer0,
                                             const std::vector<Layout>& layouts) {
-  std::vector<DistMatrix<T>> out;
-  out.reserve(layouts.size());
   const Layout& l0 = layer0.layout();
-  for (const Layout& lt : layouts) {
+  MFBC_CHECK(!layouts.empty() && layouts[0] == l0,
+             "layout 0 must be layer 0's own");
+  std::vector<DistMatrix<T>> out;
+  out.reserve(layouts.size() - 1);
+  for (std::size_t l = 1; l < layouts.size(); ++l) {
+    const Layout& lt = layouts[l];
     MFBC_CHECK(lt.pr == l0.pr && lt.pc == l0.pc && lt.rows == l0.rows &&
                    lt.cols == l0.cols && lt.transposed == l0.transposed,
                "replica layouts must match layer 0 up to rank offset");
@@ -358,6 +220,44 @@ std::vector<DistMatrix<T>> replicate_layers(sim::Sim& sim,
     }
   }
   return out;
+}
+
+/// An operand mapped onto the per-layer home layouts of a plan. `at[l]` is
+/// layer l's operand: the caller's matrix itself where it already sits on
+/// that home, else a copy moved there and owned by `moved[l]` (or, once
+/// adopted, by a HomeCache).
+template <typename T>
+struct Homed {
+  std::vector<DistMatrix<T>> moved;
+  std::vector<const DistMatrix<T>*> at;
+};
+
+/// Map `m` onto `homes` (one per layer): split across the layers' disjoint
+/// regions with one all-to-all, or — for the operand the 1D variant
+/// replicates, and for a single layer — placed on layer 0 and broadcast to
+/// the rest. A layer-0 operand already home is used in place, free.
+template <typename T>
+Homed<T> map_home(sim::Sim& sim, const DistMatrix<T>& m,
+                  const std::vector<Layout>& homes, bool replicate) {
+  Homed<T> h;
+  h.at.resize(homes.size());
+  if (homes.size() > 1 && !replicate) {
+    h.moved = redistribute<T>(sim, {&m}, homes);
+    for (std::size_t l = 0; l < homes.size(); ++l) h.at[l] = &h.moved[l];
+    return h;
+  }
+  h.moved.resize(homes.size());
+  h.at[0] = &m;
+  if (m.layout() != homes[0]) {
+    h.moved[0] = redistribute(sim, m, homes[0]);
+    h.at[0] = &h.moved[0];
+  }
+  auto copies = replicate_layers(sim, *h.at[0], homes);
+  for (std::size_t l = 1; l < homes.size(); ++l) {
+    h.moved[l] = std::move(copies[l - 1]);
+    h.at[l] = &h.moved[l];
+  }
+  return h;
 }
 
 /// One layer's 2D multiply: operands must already sit on homes_2d layouts.
@@ -680,8 +580,8 @@ DistMatrix<typename M::value_type> spgemm_2d(Charger& sim, const Plan& plan,
 /// matrix multiplications and over the n²/cm batches, since A is always the
 /// same adjacency matrix" (proof of Thm 5.1). A HomeCache passed to spgemm
 /// realizes that amortization: the first multiply with a given plan pays the
-/// redistribution/replication of B, subsequent multiplies reuse the copies
-/// for free.
+/// redistribution/replication of B, subsequent multiplies use the copies in
+/// place, free. References stay valid until clear().
 template <typename T>
 class HomeCache {
  public:
@@ -700,7 +600,7 @@ class HomeCache {
   void clear() { entries_.clear(); }
 
  private:
-  std::vector<std::pair<Layout, DistMatrix<T>>> entries_;
+  std::deque<std::pair<Layout, DistMatrix<T>>> entries_;
 };
 
 /// Distributed C = A •⟨⊕,f⟩ B following `plan`; the result is delivered on
@@ -714,7 +614,6 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
                                           DistSpgemmStats* st = nullptr,
                                           HomeCache<TB>* b_cache = nullptr) {
   using TC = typename M::value_type;
-  using detail::KeepFirst;
   MFBC_CHECK(a.ncols() == b.nrows(), "spgemm inner dimension mismatch");
   MFBC_CHECK(plan.total_ranks() <= sim.nranks(),
              "plan uses more ranks than the simulated machine has");
@@ -789,8 +688,6 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
 
   // Per-layer operand regions and home layouts.
   std::vector<Layout> a_homes, b_homes;
-  std::vector<DistMatrix<TA>> as;
-  std::vector<DistMatrix<TB>> bs;
   a_homes.reserve(static_cast<std::size_t>(p1));
   b_homes.reserve(static_cast<std::size_t>(p1));
   for (int l = 0; l < p1; ++l) {
@@ -807,47 +704,33 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
     b_homes.push_back(h.b);
   }
 
-  // B-side mapping, with optional amortization through the cache: if every
-  // per-layer copy of B for this plan is cached, reuse them for free;
-  // otherwise map (charging) and populate the cache.
-  auto map_b = [&]() {
-    if (b_cache != nullptr) {
-      bool all_cached = true;
-      for (const Layout& h : b_homes) {
-        if (b_cache->find(h) == nullptr) {
-          all_cached = false;
-          break;
-        }
+  // B-side mapping, amortized through the cache: a layer hits when B already
+  // sits on its home or the cache holds a copy there. When every layer hits,
+  // the mapping is free; otherwise B is mapped (charged) and the moved
+  // copies are handed to the cache.
+  detail::Homed<TB> bh;
+  if (b_cache != nullptr) {
+    for (const Layout& h : b_homes) {
+      const DistMatrix<TB>* hit = b.layout() == h ? &b : b_cache->find(h);
+      if (hit == nullptr) {
+        bh.at.clear();
+        break;
       }
-      if (all_cached) {
-        for (const Layout& h : b_homes) bs.push_back(*b_cache->find(h));
-        return;
-      }
+      bh.at.push_back(hit);
     }
-    if (p1 == 1) {
-      bs.push_back(redistribute<KeepFirst<TB>>(sim, b, b_homes[0]));
-    } else if (plan.v1 == Variant1D::kB) {
-      bs = detail::replicate_layers(
-          sim, redistribute<KeepFirst<TB>>(sim, b, b_homes[0]), b_homes);
-    } else {
-      bs = detail::split_to<KeepFirst<TB>>(sim, b, b_homes);
-    }
+  }
+  if (bh.at.empty()) {
+    bh = detail::map_home(sim, b, b_homes, plan.v1 == Variant1D::kB);
     if (b_cache != nullptr) {
       for (std::size_t l = 0; l < b_homes.size(); ++l) {
-        b_cache->insert(b_homes[l], bs[l]);
+        if (bh.at[l] == &bh.moved[l]) {
+          bh.at[l] = &b_cache->insert(b_homes[l], std::move(bh.moved[l]));
+        }
       }
     }
-  };
-  map_b();
-
-  if (p1 == 1) {
-    as.push_back(redistribute<KeepFirst<TA>>(sim, a, a_homes[0]));
-  } else if (plan.v1 == Variant1D::kA) {
-    as = detail::replicate_layers(
-        sim, redistribute<KeepFirst<TA>>(sim, a, a_homes[0]), a_homes);
-  } else {  // kB and kC both split A
-    as = detail::split_to<KeepFirst<TA>>(sim, a, a_homes);
   }
+  const detail::Homed<TA> ah =
+      detail::map_home(sim, a, a_homes, plan.v1 == Variant1D::kA);
 
   // Layers are independent rank groups; run them concurrently, each charging
   // into a private ChargeLog replayed into the Sim in layer order at the
@@ -857,7 +740,7 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
   std::vector<sim::ChargeLog> layer_logs(static_cast<std::size_t>(p1));
   std::vector<DistSpgemmStats> layer_stats(static_cast<std::size_t>(p1));
   support::parallel_for(static_cast<std::size_t>(p1), [&](std::size_t l) {
-    cs[l] = detail::spgemm_2d<M>(layer_logs[l], plan, as[l], bs[l], f,
+    cs[l] = detail::spgemm_2d<M>(layer_logs[l], plan, *ah.at[l], *bh.at[l], f,
                                  st != nullptr ? &layer_stats[l] : nullptr);
   });
   for (std::size_t l = 0; l < static_cast<std::size_t>(p1); ++l) {
@@ -868,9 +751,8 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
   }
 
   if (p1 > 1 && plan.v1 == Variant1D::kC) {
-    // Sparse-reduce the full-shape partial Cs across layers onto layer 0,
-    // then deliver.
-    DistMatrix<TC> c0 = cs[0];
+    // Sparse-reduce the full-shape partial Cs across layers onto layer 0.
+    DistMatrix<TC>& c0 = cs[0];
     for (int l = 1; l < p1; ++l) {
       for (int i = 0; i < p2; ++i) {
         for (int j = 0; j < p3; ++j) {
@@ -890,12 +772,16 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
                                      sim::sparse_entry_words<TC>());
       }
     }
-    std::vector<DistMatrix<TC>> one{std::move(c0)};
-    return tele_finish(
-        detail::merge_to<M>(sim, a.nrows(), b.ncols(), one, out_layout));
+    cs.resize(1);
   }
+  // Deliver: a single part already on out_layout moves out as is, free.
+  if (cs.size() == 1 && cs[0].layout() == out_layout) {
+    return tele_finish(std::move(cs[0]));
+  }
+  std::vector<const DistMatrix<TC>*> parts;
+  for (const auto& c : cs) parts.push_back(&c);
   return tele_finish(
-      detail::merge_to<M>(sim, a.nrows(), b.ncols(), cs, out_layout));
+      std::move(redistribute<TC>(sim, parts, {out_layout}).front()));
 }
 
 /// Convenience overload: autotune the plan (§6.2) from the §5.2 estimates,

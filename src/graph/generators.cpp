@@ -5,6 +5,7 @@
 
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/strutil.hpp"
 
 namespace mfbc::graph {
 
@@ -20,14 +21,20 @@ Weight draw_weight(Xoshiro256& rng, const WeightSpec& ws) {
   return ws.weighted ? rng.weight(ws.wmin, ws.wmax) : 1.0;
 }
 
+/// The most edges erdos_renyi draws: 0.8 of the n(n-1) (directed) or
+/// n(n-1)/2 (undirected) possible ones, so rejection sampling stays fast.
+double max_er_edges(vid_t n, bool directed) {
+  return 0.8 * static_cast<double>(n) * static_cast<double>(n - 1) /
+         (directed ? 1 : 2);
+}
+
 }  // namespace
 
 Graph erdos_renyi(vid_t n, nnz_t m, bool directed, WeightSpec ws,
                   std::uint64_t seed) {
   MFBC_CHECK(n >= 2, "erdos_renyi requires n >= 2");
   MFBC_CHECK(n < (vid_t{1} << 32), "generator limit: n < 2^32");
-  const double max_edges = static_cast<double>(n) * (n - 1) / (directed ? 1 : 2);
-  MFBC_CHECK(static_cast<double>(m) <= 0.8 * max_edges,
+  MFBC_CHECK(static_cast<double>(m) <= max_er_edges(n, directed),
              "requested edge count too close to complete graph");
   Xoshiro256 rng(seed);
   std::unordered_set<std::uint64_t> seen;
@@ -44,6 +51,20 @@ Graph erdos_renyi(vid_t n, nnz_t m, bool directed, WeightSpec ws,
     edges.push_back({u, v, draw_weight(rng, ws)});
   }
   return Graph::from_edges(n, edges, directed, ws.weighted);
+}
+
+std::pair<vid_t, nnz_t> parse_er_flag(const std::string& text,
+                                      bool directed) {
+  const std::vector<std::string> nm = split(text, ',');
+  require_flag(nm.size() == 2, "--er", "expects N,M");
+  const vid_t n = parse_int(nm[0], "--er N", (vid_t{1} << 32) - 1);
+  const nnz_t m = parse_int(nm[1], "--er M");
+  require_flag(n >= 2, "--er", "N must be at least 2");
+  require_flag(static_cast<double>(m) <= max_er_edges(n, directed), "--er",
+               "M must be at most 0.8 of the " +
+                   std::string(directed ? "N(N-1)" : "N(N-1)/2") +
+                   " possible edges");
+  return {n, m};
 }
 
 Graph erdos_renyi_percent(vid_t n, double f_percent, bool directed,

@@ -5,6 +5,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <utility>
 
 #include "graph/graph.hpp"
 
@@ -21,6 +23,11 @@ struct WeightSpec {
 /// workloads, parameterized by edge count for exact weak-scaling control.
 Graph erdos_renyi(vid_t n, nnz_t m, bool directed, WeightSpec ws,
                   std::uint64_t seed);
+
+/// The N,M of a command-line `--er N,M` flag, checked against erdos_renyi's
+/// preconditions (N >= 2, M at most 0.8 of the possible edges). A bad value
+/// throws mfbc::Error reading "--er: <reason>" (see require_flag).
+std::pair<vid_t, nnz_t> parse_er_flag(const std::string& text, bool directed);
 
 /// Uniform random graph from an edge-percentage f = 100·m/n² as used in the
 /// edge-weak-scaling experiment (Fig. 2(a)).

@@ -42,8 +42,9 @@ vid_t parse_vid(const std::string& tok, const LineCtx& ctx,
   return static_cast<vid_t>(v);
 }
 
-/// Parse one edge weight token: must be a finite, non-negative number
-/// (negative or NaN/inf weights would silently break the min-plus algebra).
+/// Parse one edge weight token: must be a finite, positive number (zero,
+/// negative or NaN/inf weights would break the min-plus algebra, whose
+/// absent entries and path lengths assume every edge costs something).
 double parse_weight(const std::string& tok, const LineCtx& ctx) {
   errno = 0;
   char* end = nullptr;
@@ -53,6 +54,9 @@ double parse_weight(const std::string& tok, const LineCtx& ctx) {
   }
   if (!std::isfinite(w)) ctx.fail("non-finite edge weight '" + tok + "'");
   if (w < 0) ctx.fail("negative edge weight '" + tok + "'");
+  if (w == 0) {
+    ctx.fail("zero edge weight '" + tok + "' (weights must be positive)");
+  }
   return w;
 }
 

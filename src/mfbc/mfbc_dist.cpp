@@ -23,15 +23,10 @@ using algebra::CentpathMonoid;
 using algebra::kInfWeight;
 using algebra::Multpath;
 using algebra::MultpathMonoid;
-using algebra::TropicalMinMonoid;
 using dist::DistMatrix;
 using dist::Layout;
 using dist::Range;
-using sparse::Coo;
 using sparse::Csr;
-
-template <typename T>
-using Keep = dist::detail::KeepFirst<T>;
 
 /// The per-block dense fields of the MFBC batch state: accumulated T
 /// (distances, multiplicities), the centrality factors ζ, the Algorithm 2
@@ -95,8 +90,8 @@ DistMfbc::DistMfbc(sim::Sim& sim, const graph::Graph& g, dist::Partition part)
       g_(part_.identity() ? g : gp_) {
   auto [pr, pc] = dist::near_square_grid(sim.nranks());
   base_ = Layout{0, pr, pc, Range{0, g_.n()}, Range{0, g_.n()}, false};
-  adj_ = DistMatrix<Weight>::scatter<TropicalMinMonoid>(sim, g_.adj(), base_);
-  adj_t_ = DistMatrix<Weight>::scatter<TropicalMinMonoid>(
+  adj_ = DistMatrix<Weight>::scatter(sim, g_.adj(), base_);
+  adj_t_ = DistMatrix<Weight>::scatter(
       sim, sparse::transpose(g_.adj()), base_);
   // The adjacency and its transpose stay resident for the whole run; record
   // them with the simulated allocator so plan selection sees the memory that
@@ -338,7 +333,7 @@ void DistMfbc::run_batch(const DistMfbcOptions& opts,
                                  sim::sparse_entry_words<Multpath>());
       }
       sim_.charge_alltoall(all_ranks, max_words);
-      frontier = dist::from_blocks<Keep<Multpath>>(batch.nb(), n, sl, std::move(bins));
+      frontier = dist::from_blocks(batch.nb(), n, sl, std::move(bins));
     }
 
     while (frontier.nnz() > 0) {
@@ -402,7 +397,7 @@ void DistMfbc::run_batch(const DistMfbcOptions& opts,
                               static_cast<double>(product.block(i, j).nnz()));
         }
       }
-      frontier = dist::from_blocks<Keep<Multpath>>(batch.nb(), n, sl, std::move(bins));
+      frontier = dist::from_blocks(batch.nb(), n, sl, std::move(bins));
       // Line 3's termination test is a global predicate: one allreduce.
       sim_.charge_allreduce(all_ranks, 1.0);
     }
@@ -452,7 +447,7 @@ void DistMfbc::run_batch(const DistMfbcOptions& opts,
         }
       }
       DistMatrix<Centpath> z0 =
-          dist::from_blocks<Keep<Centpath>>(batch.nb(), n, sl, std::move(bins));
+          dist::from_blocks(batch.nb(), n, sl, std::move(bins));
       const dist::Plan plan =
           plan_for(opts, "backward.count", "centpath",
                    static_cast<double>(z0.nnz()),
@@ -521,7 +516,7 @@ void DistMfbc::run_batch(const DistMfbcOptions& opts,
               }
             }
           });
-      cfrontier = dist::from_blocks<Keep<Centpath>>(batch.nb(), n, sl, std::move(bins));
+      cfrontier = dist::from_blocks(batch.nb(), n, sl, std::move(bins));
     }
 
     // Lines 5–12: back-propagation loop.
@@ -583,7 +578,7 @@ void DistMfbc::run_batch(const DistMfbcOptions& opts,
                               static_cast<double>(product.block(i, j).nnz()));
         }
       }
-      cfrontier = dist::from_blocks<Keep<Centpath>>(batch.nb(), n, sl, std::move(bins));
+      cfrontier = dist::from_blocks(batch.nb(), n, sl, std::move(bins));
       sim_.charge_allreduce(all_ranks, 1.0);
     }
 

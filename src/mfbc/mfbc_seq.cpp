@@ -20,39 +20,7 @@ using algebra::kInfWeight;
 using algebra::Multpath;
 using algebra::MultpathMonoid;
 using sparse::Csr;
-
-/// Incremental row-major CSR assembly for frontiers (entries must arrive in
-/// row order with sorted columns, which the update sweeps guarantee).
-template <typename T>
-class FrontierBuilder {
- public:
-  FrontierBuilder(vid_t nrows, vid_t ncols) : nrows_(nrows), ncols_(ncols) {
-    rowptr_.assign(static_cast<std::size_t>(nrows) + 1, 0);
-  }
-
-  void push(vid_t r, vid_t c, T v) {
-    MFBC_DCHECK(r >= row_, "frontier entries must arrive in row order");
-    row_ = r;
-    rowptr_[static_cast<std::size_t>(r) + 1]++;
-    col_.push_back(c);
-    val_.push_back(std::move(v));
-  }
-
-  Csr<T> build() {
-    for (std::size_t i = 1; i < rowptr_.size(); ++i) {
-      rowptr_[i] += rowptr_[i - 1];
-    }
-    return Csr<T>(nrows_, ncols_, std::move(rowptr_), std::move(col_),
-                  std::move(val_));
-  }
-
- private:
-  vid_t nrows_, ncols_;
-  vid_t row_ = 0;
-  std::vector<sparse::nnz_t> rowptr_;
-  std::vector<vid_t> col_;
-  std::vector<T> val_;
-};
+using sparse::CsrBuilder;
 
 std::size_t flat(vid_t s, vid_t n, vid_t v) {
   return static_cast<std::size_t>(s) * static_cast<std::size_t>(n) +
@@ -76,7 +44,7 @@ PathMatrix mfbf(const Graph& g, std::span<const vid_t> sources,
   t.mult.assign(static_cast<std::size_t>(nb) * static_cast<std::size_t>(n), 0.0);
 
   // Line 1–2 of Algorithm 1: T(s,v) := (A(s̄(s),v), 1), frontier := T.
-  FrontierBuilder<Multpath> init(nb, n);
+  CsrBuilder<Multpath> init(nb, n);
   for (vid_t s = 0; s < nb; ++s) {
     const vid_t src = sources[static_cast<std::size_t>(s)];
     MFBC_CHECK(src >= 0 && src < n, "source vertex out of range");
@@ -88,7 +56,7 @@ PathMatrix mfbf(const Graph& g, std::span<const vid_t> sources,
       init.push(s, cols[i], Multpath{vals[i], 1.0});
     }
   }
-  Csr<Multpath> frontier = init.build();
+  Csr<Multpath> frontier = std::move(init).build();
 
   // Lines 3–7: relax the maximal frontier until no path information changes.
   while (frontier.nnz() > 0) {
@@ -104,7 +72,7 @@ PathMatrix mfbf(const Graph& g, std::span<const vid_t> sources,
       trace->product_nnz.push_back(product.nnz());
       trace->total_ops += st.ops;
     }
-    FrontierBuilder<Multpath> next(nb, n);
+    CsrBuilder<Multpath> next(nb, n);
     for (vid_t s = 0; s < nb; ++s) {
       const vid_t src = t.sources[static_cast<std::size_t>(s)];
       auto cols = product.row_cols(s);
@@ -129,7 +97,7 @@ PathMatrix mfbf(const Graph& g, std::span<const vid_t> sources,
         // mp.w > t.dist[at]: discarded, line 6 sets it to (∞, 0)
       }
     }
-    frontier = next.build();
+    frontier = std::move(next).build();
   }
   return t;
 }
@@ -170,7 +138,7 @@ FactorMatrix mfbr(const Graph& g, const sparse::Csr<Weight>& at,
   // Lines 3–4: the initial frontier is the set of leaves (counter zero).
   std::vector<unsigned char> done(
       static_cast<std::size_t>(nb) * static_cast<std::size_t>(n), 0);
-  FrontierBuilder<Centpath> init(nb, n);
+  CsrBuilder<Centpath> init(nb, n);
   for (vid_t s = 0; s < nb; ++s) {
     const vid_t src = t.sources[static_cast<std::size_t>(s)];
     done[flat(s, n, src)] = 1;  // the root never joins a frontier
@@ -182,7 +150,7 @@ FactorMatrix mfbr(const Graph& g, const sparse::Csr<Weight>& at,
       }
     }
   }
-  Csr<Centpath> frontier = init.build();
+  Csr<Centpath> frontier = std::move(init).build();
 
   // Lines 5–12: back-propagate centrality factors along Aᵀ; a vertex joins
   // the frontier exactly once, when its last successor has reported.
@@ -199,7 +167,7 @@ FactorMatrix mfbr(const Graph& g, const sparse::Csr<Weight>& at,
       trace->product_nnz.push_back(product.nnz());
       trace->total_ops += st.ops;
     }
-    FrontierBuilder<Centpath> next(nb, n);
+    CsrBuilder<Centpath> next(nb, n);
     for (vid_t s = 0; s < nb; ++s) {
       const vid_t src = t.sources[static_cast<std::size_t>(s)];
       auto cols = product.row_cols(s);
@@ -223,7 +191,7 @@ FactorMatrix mfbr(const Graph& g, const sparse::Csr<Weight>& at,
         }
       }
     }
-    frontier = next.build();
+    frontier = std::move(next).build();
   }
   return z;
 }

@@ -1,9 +1,12 @@
-// Coordinate-format sparse matrix (the interchange/builder format).
+// Coordinate-format sparse matrix: the input format for entries that may
+// repeat a position.
 //
-// COO is used for graph construction, I/O, and redistribution shuffles; the
-// compute kernels run on CSR (see csr.hpp). This mirrors CTF, which stores
-// index–value pairs for input and converts to CSR for multiplication
-// (paper §6.2).
+// COO holds graph ingest, mutation and generator output, whose duplicate
+// entries Csr::from_coo combines through a monoid after one stable sort;
+// the compute kernels run on CSR (see csr.hpp). Entries already distinct and
+// in row order skip COO and go through sparse::CsrBuilder. This mirrors CTF,
+// which stores index–value pairs for input and converts to CSR for
+// multiplication (paper §6.2).
 #pragma once
 
 #include <algorithm>

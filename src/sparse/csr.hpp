@@ -1,11 +1,20 @@
-// Compressed-sparse-row matrix, the compute format of the library.
+// Compressed-sparse-row matrix, the compute format of the library, and
+// CsrBuilder, the one way to assemble one from entries.
 //
 // A Csr<T> is immutable once built (kernels return fresh matrices); this
 // keeps the distributed layer's block bookkeeping simple and makes sharing
 // blocks across simulated ranks safe.
+//
+// A block is assembled one of two ways. Entries that are already distinct
+// and arrive in row-major order (frontier sweeps, redistribution, scatter,
+// gather) go through CsrBuilder, which checks the order and never sorts.
+// Entries that may repeat a position (graph ingest, mutation, generators)
+// go through Csr::from_coo, which sorts and combines them through a monoid
+// first.
 #pragma once
 
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -44,21 +53,7 @@ class Csr {
   /// Build from COO; duplicates are merged through monoid M and identity
   /// entries dropped.
   template <algebra::Monoid M>
-  static Csr from_coo(Coo<T> coo) {
-    coo.template sort_and_combine<M>();
-    Csr out(coo.nrows(), coo.ncols());
-    out.col_.reserve(coo.entries().size());
-    out.val_.reserve(coo.entries().size());
-    for (auto& e : coo.entries()) {
-      out.rowptr_[static_cast<std::size_t>(e.row) + 1]++;
-      out.col_.push_back(e.col);
-      out.val_.push_back(std::move(e.val));
-    }
-    for (std::size_t i = 1; i < out.rowptr_.size(); ++i) {
-      out.rowptr_[i] += out.rowptr_[i - 1];
-    }
-    return out;
-  }
+  static Csr from_coo(Coo<T> coo);
 
   vid_t nrows() const { return nrows_; }
   vid_t ncols() const { return ncols_; }
@@ -90,7 +85,7 @@ class Csr {
            rowptr_[static_cast<std::size_t>(r)];
   }
 
-  /// Convert back to COO (used by redistribution and I/O).
+  /// Convert back to COO (a combining rebuild's input).
   Coo<T> to_coo() const {
     Coo<T> out(nrows_, ncols_);
     out.reserve(nnz());
@@ -116,5 +111,80 @@ class Csr {
   std::vector<vid_t> col_;
   std::vector<T> val_;
 };
+
+/// Row-major CSR assembly from distinct entries that arrive in order: rows
+/// ascending, columns strictly ascending within a row. The order is checked
+/// on every push, so build() needs no sort; an entry out of range, out of
+/// order or repeating a position throws mfbc::Error.
+template <typename T>
+class CsrBuilder {
+ public:
+  CsrBuilder(vid_t nrows, vid_t ncols)
+      : nrows_(nrows), ncols_(ncols),
+        rowptr_(static_cast<std::size_t>(nrows) + 1, 0) {
+    MFBC_CHECK(nrows >= 0 && ncols >= 0, "matrix dims must be non-negative");
+  }
+
+  void reserve(nnz_t n) {
+    col_.reserve(static_cast<std::size_t>(n));
+    val_.reserve(static_cast<std::size_t>(n));
+  }
+
+  void push(vid_t r, vid_t c, T v) {
+    if (r < last_row_ || (r == last_row_ && c <= last_col_) || r >= nrows_ ||
+        c < 0 || c >= ncols_) {
+      reject(r, c);
+    }
+    last_row_ = r;
+    last_col_ = c;
+    rowptr_[static_cast<std::size_t>(r) + 1]++;
+    col_.push_back(c);
+    val_.push_back(std::move(v));
+  }
+
+  nnz_t nnz() const { return static_cast<nnz_t>(col_.size()); }
+
+  Csr<T> build() && {
+    for (std::size_t i = 1; i < rowptr_.size(); ++i) {
+      rowptr_[i] += rowptr_[i - 1];
+    }
+    return Csr<T>(nrows_, ncols_, std::move(rowptr_), std::move(col_),
+                  std::move(val_));
+  }
+
+ private:
+  [[noreturn]] void reject(vid_t r, vid_t c) const {
+    const std::string at =
+        "(" + std::to_string(r) + "," + std::to_string(c) + ")";
+    if (r < 0 || r >= nrows_ || c < 0 || c >= ncols_) {
+      throw Error("CsrBuilder: entry " + at + " outside a " +
+                  std::to_string(nrows_) + "x" + std::to_string(ncols_) +
+                  " matrix");
+    }
+    const std::string last = "(" + std::to_string(last_row_) + "," +
+                             std::to_string(last_col_) + ")";
+    throw Error("CsrBuilder: entry " + at +
+                (r == last_row_ && c == last_col_ ? " repeats its position"
+                                                  : " arrives after " + last) +
+                "; entries must be distinct and in row-major order");
+  }
+
+  vid_t nrows_, ncols_;
+  vid_t last_row_ = 0;
+  vid_t last_col_ = -1;  ///< (0,-1) before the first push
+  std::vector<nnz_t> rowptr_;
+  std::vector<vid_t> col_;
+  std::vector<T> val_;
+};
+
+template <typename T>
+template <algebra::Monoid M>
+Csr<T> Csr<T>::from_coo(Coo<T> coo) {
+  coo.template sort_and_combine<M>();
+  CsrBuilder<T> out(coo.nrows(), coo.ncols());
+  out.reserve(coo.nnz());
+  for (auto& e : coo.entries()) out.push(e.row, e.col, std::move(e.val));
+  return std::move(out).build();
+}
 
 }  // namespace mfbc::sparse

@@ -36,7 +36,6 @@
 #pragma once
 
 #include <algorithm>
-#include <typeinfo>
 #include <vector>
 
 #include "algebra/concepts.hpp"
@@ -52,38 +51,27 @@ struct SpgemmStats {
 
 /// Reusable dense-accumulator scratch for spgemm over value type TC.
 ///
-/// The kernel's invariant is that acc/occupied are clean (identity / 0) on
-/// exit from every call, so reuse across calls only requires growing to the
-/// widest output seen. Two different monoids can share TC with *different*
-/// identity values (SumMonoid and TropicalMinMonoid are both double), so the
-/// workspace remembers which monoid last filled it and refills when the
-/// monoid changes.
+/// The kernel reads a column's accumulator only after marking it in
+/// `occupied`, and the column's first product overwrites it, so only the
+/// occupancy bytes need to be clean (0) between calls: the accumulator
+/// values carry no state, and one workspace serves every monoid over TC.
+/// Reuse across calls only grows the scratch to the widest output seen.
 template <typename TC>
 class SpgemmWorkspace {
  public:
-  /// Grow (and, on monoid change, refill) the scratch for outputs of width
-  /// `ncols` accumulated under monoid M.
-  template <algebra::Monoid M>
+  /// Grow the scratch for outputs of width `ncols`.
   void prepare(vid_t ncols) {
-    static_assert(std::is_same_v<typename M::value_type, TC>,
-                  "workspace value type must match the monoid's");
-    const std::type_info* tag = &typeid(M);
     const auto n = static_cast<std::size_t>(ncols);
-    if (monoid_ != tag) {
-      acc_.assign(std::max(n, acc_.size()), M::identity());
-      occupied_.assign(acc_.size(), 0);
-      monoid_ = tag;
-    } else if (acc_.size() < n) {
-      acc_.resize(n, M::identity());
+    if (acc_.size() < n) {
+      acc_.resize(n);
       occupied_.resize(n, 0);
     }
     touched_.clear();
   }
 
-  /// Mark the scratch dirty so the next prepare() refills it. The kernel
-  /// calls this when an exception unwinds mid-row (the clean-on-exit
-  /// invariant no longer holds).
-  void invalidate() { monoid_ = nullptr; }
+  /// Re-zero the occupancy bytes. The kernel calls this when an exception
+  /// unwinds mid-row (the clean-on-exit invariant no longer holds).
+  void invalidate() { std::fill(occupied_.begin(), occupied_.end(), 0); }
 
   std::vector<TC>& acc() { return acc_; }
   std::vector<unsigned char>& occupied() { return occupied_; }
@@ -93,7 +81,6 @@ class SpgemmWorkspace {
   std::vector<TC> acc_;
   std::vector<unsigned char> occupied_;
   std::vector<vid_t> touched_;
-  const std::type_info* monoid_ = nullptr;  ///< monoid that filled acc_
 };
 
 /// The calling thread's workspace for value type TC (one per pool thread —
@@ -130,8 +117,9 @@ namespace detail {
 /// header comment).
 inline constexpr std::size_t kDenseRowFactor = 16;
 
-/// Gustavson core over caller-provided scratch. acc/occupied must be clean
-/// (identity / 0) on entry and are clean again on normal exit.
+/// Gustavson core over caller-provided scratch. `occupied` must be all 0 on
+/// entry and is all 0 again on normal exit; `acc` holds no state between
+/// rows.
 template <algebra::Monoid M, typename TA, typename TB, typename F>
 Csr<typename M::value_type> spgemm_core(const Csr<TA>& a, const Csr<TB>& b,
                                         F& f, vid_t b_row_offset, nnz_t& ops,
@@ -151,15 +139,14 @@ Csr<typename M::value_type> spgemm_core(const Csr<TA>& a, const Csr<TB>& b,
     out_val.reserve(static_cast<std::size_t>(hint));
   }
 
-  // Emit column ju of the current row (dropping an identity sum) and leave
-  // its scratch clean.
+  // Emit column ju of the current row (dropping an identity sum) and clear
+  // its occupancy byte.
   auto emit = [&](std::size_t ju) {
     if (!M::is_identity(acc[ju])) {
       out_col.push_back(static_cast<vid_t>(ju));
       out_val.push_back(std::move(acc[ju]));
     }
     occupied[ju] = 0;
-    acc[ju] = M::identity();
   };
 
   for (vid_t i = 0; i < a.nrows(); ++i) {
@@ -217,7 +204,7 @@ Csr<typename M::value_type> spgemm(const Csr<TA>& a, const Csr<TB>& b, F f,
              "spgemm B slice out of the inner-dimension range");
 
   if (ws == nullptr) ws = &tls_spgemm_workspace<TC>();
-  ws->template prepare<M>(b.ncols());
+  ws->prepare(b.ncols());
   nnz_t ops = 0;
   Csr<TC> c;
   try {

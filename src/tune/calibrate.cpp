@@ -254,8 +254,8 @@ Profile calibrate(const CalibrateOptions& opts) {
       sim::Sim sim(opts.ranks, opts.machine);
       Layout lf{0, 1, opts.ranks, Range{0, opts.nb}, Range{0, opts.n}, false};
       Layout la{0, 1, opts.ranks, Range{0, opts.n}, Range{0, opts.n}, false};
-      auto df = DistMatrix<Multpath>::scatter<MultpathMonoid>(sim, f, lf);
-      auto da = DistMatrix<double>::scatter<SumMonoid>(sim, g.adj(), la);
+      auto df = DistMatrix<Multpath>::scatter(sim, f, lf);
+      auto da = DistMatrix<double>::scatter(sim, g.adj(), la);
       sim.ledger().reset();
       dist::spgemm<MultpathMonoid>(sim, plan, df, da, BellmanFordAction{}, lf);
       const sim::Cost meas = sim.ledger().critical();
@@ -287,7 +287,7 @@ Profile calibrate(const CalibrateOptions& opts) {
     sim::Sim sim(1, opts.machine);
     graph::Graph g = graph::erdos_renyi(opts.n, opts.n * 8, false, {}, seed);
     Layout l1{0, 1, 1, Range{0, opts.n}, Range{0, opts.n}, false};
-    auto da = DistMatrix<double>::scatter<SumMonoid>(sim, g.adj(), l1);
+    auto da = DistMatrix<double>::scatter(sim, g.adj(), l1);
     dist::DistSpgemmStats st;
     const auto t0 = std::chrono::steady_clock::now();
     dist::spgemm<SumMonoid>(

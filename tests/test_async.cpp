@@ -375,8 +375,8 @@ struct SpgemmRun {
     auto adj = random_csr(n, n, 0.2, 88);
     Layout lf{0, 1, p, Range{0, nb}, Range{0, n}, false};
     Layout la{0, p, 1, Range{0, n}, Range{0, n}, false};
-    auto df = DistMatrix<Multpath>::scatter<MultpathMonoid>(sim, f, lf);
-    auto da = DistMatrix<double>::scatter<SumMonoid>(sim, adj, la);
+    auto df = DistMatrix<Multpath>::scatter(sim, f, lf);
+    auto da = DistMatrix<double>::scatter(sim, adj, la);
     sim.ledger().reset();
     if (!spec.empty()) sim.enable_faults(sim::FaultSpec::parse(spec));
     auto dc = dist::spgemm<MultpathMonoid>(sim, plan, df, da,

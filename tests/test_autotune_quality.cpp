@@ -36,8 +36,8 @@ Measured measure_plan(int p, const Plan& plan, const sparse::Csr<Multpath>& f,
   }
   pc = p / pr;
   Layout la{0, pr, pc, Range{0, adj.nrows()}, Range{0, adj.ncols()}, false};
-  auto df = DistMatrix<Multpath>::scatter<MultpathMonoid>(sim, f, lf);
-  auto da = DistMatrix<double>::scatter<SumMonoid>(sim, adj, la);
+  auto df = DistMatrix<Multpath>::scatter(sim, f, lf);
+  auto da = DistMatrix<double>::scatter(sim, adj, la);
   sim.ledger().reset();
   spgemm<MultpathMonoid>(sim, plan, df, da, BellmanFordAction{}, lf);
   const sim::Cost c = sim.ledger().critical();

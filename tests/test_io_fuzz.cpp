@@ -144,6 +144,21 @@ TEST(IoErrors, EdgeListBadWeights) {
   EXPECT_NE(error_message([&] { read_edge_list(negative, {.weighted = true}); })
                 .find("negative edge weight"),
             std::string::npos);
+  // Zero (and signed zero) weights would reach Graph's positivity check as
+  // an internal error; the parser names them with the file:line context.
+  for (const char* zero : {"0", "0.0", "-0"}) {
+    std::stringstream ss(std::string("1 2 5\n3 4 ") + zero + "\n");
+    const std::string msg = error_message(
+        [&] { read_edge_list(ss, {.weighted = true}, "zero.txt"); });
+    EXPECT_NE(msg.find("zero.txt:2:"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("zero edge weight"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("MFBC_CHECK"), std::string::npos) << msg;
+  }
+  std::stringstream mm(
+      "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 0\n");
+  EXPECT_NE(error_message([&] { read_matrix_market(mm); })
+                .find("zero edge weight"),
+            std::string::npos);
   std::stringstream inf("1 2 inf\n");
   EXPECT_NE(error_message([&] { read_edge_list(inf, {.weighted = true}); })
                 .find("non-finite edge weight"),

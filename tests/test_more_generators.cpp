@@ -95,7 +95,7 @@ TEST(LoadBalance, RandomRelabelSpreadsBlocks) {
   sim::Sim sim(16);
   dist::Layout grid{0, 4, 4, dist::Range{0, g.n()}, dist::Range{0, g.n()},
                     false};
-  auto d = dist::DistMatrix<Weight>::scatter<algebra::TropicalMinMonoid>(
+  auto d = dist::DistMatrix<Weight>::scatter(
       sim, shuffled.adj(), grid);
   const double avg = static_cast<double>(d.nnz()) / 16.0;
   EXPECT_LT(static_cast<double>(d.max_block_nnz()), 1.5 * avg);

@@ -286,8 +286,8 @@ DistRun run_dist_spgemm(int threads, const dist::Plan& plan, int p,
   Layout lf{0, 1, p, Range{0, nb}, Range{0, n}, false};
   Layout la{0, p > 1 ? 2 : 1, p > 1 ? p / 2 : 1, Range{0, n}, Range{0, n},
             false};
-  auto df = DistMatrix<Multpath>::scatter<MultpathMonoid>(sim, f, lf);
-  auto da = DistMatrix<double>::scatter<SumMonoid>(sim, a, la);
+  auto df = DistMatrix<Multpath>::scatter(sim, f, lf);
+  auto da = DistMatrix<double>::scatter(sim, a, la);
   sim.ledger().reset();
   DistRun out;
   auto dc = dist::spgemm<MultpathMonoid>(sim, plan, df, da,
@@ -436,7 +436,7 @@ TEST(Determinism, ScatterGatherBitIdenticalAcrossThreadCounts) {
       set_threads(threads);
       sim::Sim sim(12);
       Run r;
-      r.d = dist::DistMatrix<double>::scatter<SumMonoid>(sim, a, l);
+      r.d = dist::DistMatrix<double>::scatter(sim, a, l);
       r.back = r.d.gather(sim);
       r.crit = sim.ledger().critical();
       return r;

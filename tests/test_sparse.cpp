@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -118,6 +120,69 @@ TEST(Csr, InvalidConstructionThrows) {
   EXPECT_THROW(Csr<double>(2, 2, {0, 1}, {0}, {1.0}), Error);       // rowptr len
   EXPECT_THROW(Csr<double>(1, 2, {0, 2}, {0}, {1.0}), Error);       // nnz
   EXPECT_THROW(Csr<double>(1, 1, {0, 1}, {0}, {1.0, 2.0}), Error);  // col/val
+}
+
+/// `what` must name the builder and the offending entry.
+void expect_builder_error(const std::function<void()>& push,
+                          const std::string& what) {
+  try {
+    push();
+    ADD_FAILURE() << "no error for " << what;
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("CsrBuilder"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(what), std::string::npos) << msg;
+  }
+}
+
+TEST(CsrBuilder, OutOfOrderRowThrows) {
+  CsrBuilder<double> b(4, 4);
+  b.push(2, 1, 1.0);
+  expect_builder_error([&] { b.push(1, 3, 2.0); },
+                       "(1,3) arrives after (2,1)");
+}
+
+TEST(CsrBuilder, OutOfOrderColumnThrows) {
+  CsrBuilder<double> b(4, 4);
+  b.push(1, 2, 1.0);
+  expect_builder_error([&] { b.push(1, 0, 2.0); },
+                       "(1,0) arrives after (1,2)");
+}
+
+TEST(CsrBuilder, RepeatedPositionThrows) {
+  CsrBuilder<double> b(4, 4);
+  b.push(0, 0, 1.0);
+  b.push(3, 3, 1.0);
+  expect_builder_error([&] { b.push(3, 3, 2.0); }, "(3,3) repeats");
+}
+
+TEST(CsrBuilder, OutOfRangeThrows) {
+  CsrBuilder<double> b(2, 3);
+  expect_builder_error([&] { b.push(2, 0, 1.0); }, "(2,0) outside a 2x3");
+  expect_builder_error([&] { b.push(0, 3, 1.0); }, "(0,3) outside a 2x3");
+  expect_builder_error([&] { b.push(-1, 0, 1.0); }, "(-1,0) outside a 2x3");
+}
+
+TEST(CsrBuilder, InOrderInputEqualsFromCoo) {
+  const auto a = random_csr(37, 29, 0.2, 4242);
+  CsrBuilder<double> b(a.nrows(), a.ncols());
+  for (vid_t r = 0; r < a.nrows(); ++r) {
+    auto cols = a.row_cols(r);
+    auto vals = a.row_vals(r);
+    for (std::size_t x = 0; x < cols.size(); ++x) b.push(r, cols[x], vals[x]);
+  }
+  EXPECT_EQ(b.nnz(), a.nnz());
+  const auto built = std::move(b).build();
+  EXPECT_EQ(built, a);
+  EXPECT_EQ(built, Csr<double>::from_coo<SumMonoid>(a.to_coo()));
+  // Empty rows at either end and an empty matrix build too.
+  CsrBuilder<double> sparse_rows(5, 3);
+  sparse_rows.push(2, 1, 7.0);
+  Coo<double> coo(5, 3);
+  coo.push(2, 1, 7.0);
+  EXPECT_EQ(std::move(sparse_rows).build(),
+            Csr<double>::from_coo<SumMonoid>(std::move(coo)));
+  EXPECT_EQ(CsrBuilder<double>(3, 2).build(), Csr<double>(3, 2));
 }
 
 TEST(Ops, EwiseUnionDisjointAndOverlap) {
@@ -535,7 +600,8 @@ TEST(SpgemmEmission, CentpathMatchesDenseFold) {
 
 TEST(SpgemmEmission, OneWorkspaceAcrossMonoidsWidthsAndSlices) {
   // SumMonoid (identity 0) and TropicalMinMonoid (identity +inf) share
-  // TC = double, so switching monoids must refill the accumulator; widths
+  // TC = double, so one workspace serves both and a value left in the
+  // accumulator by one monoid must never reach the other's output; widths
   // shrink and grow so stale scratch past the logical width must not leak.
   SpgemmWorkspace<double> ws;
   struct Extend {
@@ -564,7 +630,7 @@ TEST(SpgemmEmission, OneWorkspaceAcrossMonoidsWidthsAndSlices) {
 TEST(SpgemmEmission, ThrowMidDenseRowThenNextMultiplyIsClean) {
   // The full-width B row alone: a dense row. The bridge throws halfway
   // through it, leaving the thread's scratch dirty; the next multiply on
-  // this thread must refill it and match the oracle.
+  // this thread must start from cleared occupancy and match the oracle.
   const auto b = emission_b(kEmitWidth, 13);
   const vid_t full = b.nrows() - 1;
   ASSERT_EQ(b.row_nnz(full), kEmitWidth);

@@ -93,8 +93,8 @@ TEST_P(DistSpgemmAllPlans, CountSemiringMatchesSequential) {
   la = Layout{0, 1, p, Range{0, m}, Range{0, k}, false};
   Layout lb{0, p, 1, Range{0, k}, Range{0, n}, false};
   Layout lc{0, 1, p, Range{0, m}, Range{0, n}, false};
-  auto da = DistMatrix<double>::scatter<SumMonoid>(sim, a, la);
-  auto db = DistMatrix<double>::scatter<SumMonoid>(sim, b, lb);
+  auto da = DistMatrix<double>::scatter(sim, a, la);
+  auto db = DistMatrix<double>::scatter(sim, b, lb);
   auto dc = spgemm<SumMonoid>(sim, plan, da, db, Times{}, lc);
   EXPECT_EQ(dc.gather(sim), sparse::spgemm<SumMonoid>(a, b, Times{}));
 }
@@ -108,8 +108,8 @@ TEST_P(DistSpgemmAllPlans, MultpathMonoidMatchesSequential) {
   Layout lf{0, 1, p, Range{0, nb}, Range{0, n}, false};
   Layout la{0, p, 1, Range{0, n}, Range{0, n}, false};
   Layout lc{0, 1, p, Range{0, nb}, Range{0, n}, false};
-  auto df = DistMatrix<Multpath>::scatter<MultpathMonoid>(sim, f, lf);
-  auto da = DistMatrix<double>::scatter<SumMonoid>(sim, adj, la);
+  auto df = DistMatrix<Multpath>::scatter(sim, f, lf);
+  auto da = DistMatrix<double>::scatter(sim, adj, la);
   auto dc =
       spgemm<MultpathMonoid>(sim, plan, df, da, BellmanFordAction{}, lc);
   EXPECT_EQ(dc.gather(sim),
@@ -124,8 +124,8 @@ TEST(DistSpgemm, CommunicationIsChargedForMultiRankPlans) {
   auto a = random_csr(16, 16, 0.4, 51);
   auto b = random_csr(16, 16, 0.4, 52);
   Layout l{0, 2, 2, Range{0, 16}, Range{0, 16}, false};
-  auto da = DistMatrix<double>::scatter<SumMonoid>(sim, a, l);
-  auto db = DistMatrix<double>::scatter<SumMonoid>(sim, b, l);
+  auto da = DistMatrix<double>::scatter(sim, a, l);
+  auto db = DistMatrix<double>::scatter(sim, b, l);
   sim.ledger().reset();
   Plan plan{1, 2, 2, Variant1D::kA, Variant2D::kAB};
   spgemm<SumMonoid>(sim, plan, da, db, Times{}, l);
@@ -144,8 +144,8 @@ TEST(DistSpgemm, HomeCacheAmortizesOperandMapping) {
   Plan plan{2, 2, 1, Variant1D::kB, Variant2D::kAB};
 
   auto run = [&](sim::Sim& sim, int times, HomeCache<double>* cache) {
-    auto da = DistMatrix<double>::scatter<SumMonoid>(sim, a, la);
-    auto db = DistMatrix<double>::scatter<SumMonoid>(sim, b, lb);
+    auto da = DistMatrix<double>::scatter(sim, a, la);
+    auto db = DistMatrix<double>::scatter(sim, b, lb);
     sim.ledger().reset();
     for (int i = 0; i < times; ++i) {
       spgemm<SumMonoid>(sim, plan, da, db, Times{}, la, nullptr, cache);
@@ -162,7 +162,7 @@ TEST(DistSpgemm, RanksExceedingMachineThrow) {
   sim::Sim sim(2);
   auto a = random_csr(4, 4, 0.5, 71);
   Layout l{0, 1, 2, Range{0, 4}, Range{0, 4}, false};
-  auto da = DistMatrix<double>::scatter<SumMonoid>(sim, a, l);
+  auto da = DistMatrix<double>::scatter(sim, a, l);
   Plan plan{1, 2, 2, Variant1D::kA, Variant2D::kAB};
   EXPECT_THROW(spgemm<SumMonoid>(sim, plan, da, da, Times{}, l), Error);
 }
@@ -175,8 +175,8 @@ TEST(DistSpgemm, AutotunedExecutionMatchesSequential) {
     auto [pr, pc] = std::pair{p == 1 ? 1 : 3, p == 1 ? 1 : p / 3};
     if (p == 4) std::tie(pr, pc) = std::pair{2, 2};
     Layout l{0, pr, pc, Range{0, 18}, Range{0, 18}, false};
-    auto da = DistMatrix<double>::scatter<SumMonoid>(sim, a, l);
-    auto db = DistMatrix<double>::scatter<SumMonoid>(sim, b, l);
+    auto da = DistMatrix<double>::scatter(sim, a, l);
+    auto db = DistMatrix<double>::scatter(sim, b, l);
     auto dc = spgemm_auto<SumMonoid>(sim, da, db, Times{}, l);
     EXPECT_EQ(dc.gather(sim), sparse::spgemm<SumMonoid>(a, b, Times{}))
         << "p=" << p;
@@ -187,8 +187,8 @@ TEST(DistSpgemm, EmptyOperandsYieldEmptyResult) {
   sim::Sim sim(4);
   Csr<double> a(8, 8), b(8, 8);
   Layout l{0, 2, 2, Range{0, 8}, Range{0, 8}, false};
-  auto da = DistMatrix<double>::scatter<SumMonoid>(sim, a, l);
-  auto db = DistMatrix<double>::scatter<SumMonoid>(sim, b, l);
+  auto da = DistMatrix<double>::scatter(sim, a, l);
+  auto db = DistMatrix<double>::scatter(sim, b, l);
   Plan plan{1, 2, 2, Variant1D::kA, Variant2D::kBC};
   auto dc = spgemm<SumMonoid>(sim, plan, da, db, Times{}, l);
   EXPECT_EQ(dc.nnz(), 0);

@@ -198,7 +198,7 @@ TEST(Observer, SpgemmRecordsWhileInstalled) {
   graph::Graph g = graph::erdos_renyi(64, 256, false, {}, 5);
   sim::Sim sim(4);
   Layout l{0, 2, 2, Range{0, 64}, Range{0, 64}, false};
-  auto da = DistMatrix<double>::scatter<SumMonoid>(sim, g.adj(), l);
+  auto da = DistMatrix<double>::scatter(sim, g.adj(), l);
   sparse::Coo<Multpath> fc(8, 64);
   for (graph::vid_t s = 0; s < 8; ++s) {
     auto cols = g.adj().row_cols(s);
@@ -208,7 +208,7 @@ TEST(Observer, SpgemmRecordsWhileInstalled) {
   }
   auto f = sparse::Csr<Multpath>::from_coo<MultpathMonoid>(std::move(fc));
   Layout lf{0, 1, 4, Range{0, 8}, Range{0, 64}, false};
-  auto df = DistMatrix<Multpath>::scatter<MultpathMonoid>(sim, f, lf);
+  auto df = DistMatrix<Multpath>::scatter(sim, f, lf);
 
   Observer obs;
   {
@@ -297,7 +297,7 @@ ScenarioResult run_scenario(const std::vector<graph::vid_t>& rows) {
   auto run = [&](Tuner* tuner) {
     sim::Sim sim(p, mm);
     Layout la{0, 4, 4, Range{0, n}, Range{0, n}, false};
-    auto da = DistMatrix<double>::scatter<SumMonoid>(sim, g.adj(), la);
+    auto da = DistMatrix<double>::scatter(sim, g.adj(), la);
     dist::HomeCache<double> bcache;
     std::optional<ScopedObserver> obs;
     if (tuner != nullptr) obs.emplace(&tuner->observer());
@@ -307,7 +307,7 @@ ScenarioResult run_scenario(const std::vector<graph::vid_t>& rows) {
     for (graph::vid_t k : rows) {
       auto f = frontier_rows(k);
       Layout lf{0, 1, p, Range{0, k}, Range{0, n}, false};
-      auto df = DistMatrix<Multpath>::scatter<MultpathMonoid>(sim, f, lf);
+      auto df = DistMatrix<Multpath>::scatter(sim, f, lf);
       auto st = dist::MultiplyStats::estimated(
           k, n, n, static_cast<double>(f.nnz()),
           static_cast<double>(g.adj().nnz()),

@@ -149,11 +149,8 @@ graph::Graph load_graph(const Args& a) {
   graph::WeightSpec ws;
   ws.weighted = a.weighted;
   if (!a.er.empty()) {
-    const std::vector<std::string> nm = split(a.er, ',');
-    require_flag(nm.size() == 2, "--er", "expects N,M");
-    return graph::erdos_renyi(parse_int(nm[0], "--er N"),
-                              parse_int(nm[1], "--er M"), a.directed, ws,
-                              a.seed);
+    const auto [n, m] = graph::parse_er_flag(a.er, a.directed);
+    return graph::erdos_renyi(n, m, a.directed, ws, a.seed);
   }
   if (!a.rmat.empty()) {
     const std::vector<std::string> se = split(a.rmat, ',');

@@ -279,11 +279,8 @@ graph::Graph load_graph(const Args& a) {
                                  a.seed ^ 0xabc);
   }
   if (!a.er.empty()) {
-    const std::vector<std::string> nm = split(a.er, ',');
-    if (nm.size() != 2) throw Error("--er expects N,M");
-    return graph::erdos_renyi(parse_int(nm[0], "--er N"),
-                              parse_int(nm[1], "--er M"), a.directed,
-                              {a.weighted, 1, 100}, a.seed);
+    const auto [n, m] = graph::parse_er_flag(a.er, a.directed);
+    return graph::erdos_renyi(n, m, a.directed, {a.weighted, 1, 100}, a.seed);
   }
   if (!a.snap.empty()) {
     for (const auto& spec : graph::snap_specs()) {

@@ -105,11 +105,8 @@ int main(int argc, char** argv) {
             graph::remove_isolated(graph::rmat(p, seed)), seed ^ 1);
       }
       if (!er.empty()) {
-        const std::vector<std::string> nm = split(er, ',');
-        if (nm.size() != 2) throw Error("--er expects N,M");
-        return graph::erdos_renyi(parse_int(nm[0], "--er N"),
-                                  parse_int(nm[1], "--er M"), directed, ws,
-                                  seed);
+        const auto [n, m] = graph::parse_er_flag(er, directed);
+        return graph::erdos_renyi(n, m, directed, ws, seed);
       }
       throw Error("give --rmat S,E or --er N,M");
     }();
